@@ -1,6 +1,6 @@
 // Shard sweep: the cost of fault isolation. Runs the sharded by-tuple
 // pass at 1/2/4/8 fault domains over the fig09 medium instances and
-// reports the per-shard-count wall time, with the supervisor, child
+// reports the per-shard-count wall time, with the shard runner, child
 // ExecContexts, and the merge layer on the path. Fault-free the answers
 // must match the serial run — COUNT range bit-identical, COUNT
 // distribution within 1e-9 total variation (shard boundaries re-associate

@@ -338,23 +338,15 @@ const std::vector<SiteInfo>& AllSites() {
        "writing an HTTP response back to the client; an error models a "
        "connection dropped mid-response (the answer is lost in transit, "
        "never corrupted)"},
-      {"shard/spawn",
-       "the coordinator submitting a shard's primary attempt to the pool; "
-       "an error drives the inline spawn-fallback path (byte-identical "
-       "results, counted in aqua_shard_spawn_fallback_total)"},
       {"shard/run",
-       "a shard attempt about to run its job; error models shard death "
-       "(degrades that shard to sampling), delay models a straggler "
-       "(drives hedged re-execution), partial tears the shard's scan "
-       "(caught by the rows_covered coverage check)"},
+       "a shard about to run its kernel; error models shard death "
+       "(degrades that shard to sampling), delay models a straggler, "
+       "partial tears the shard's scan (caught by the rows_covered "
+       "coverage check)"},
       {"shard/merge",
-       "the coordinator about to merge committed shard partials; an error "
+       "the coordinator about to merge the shard partials; an error "
        "proves a merge-stage failure surfaces as a clean Status, never a "
        "half-merged answer"},
-      {"shard/hedge",
-       "the coordinator submitting a hedge (duplicate) attempt for a "
-       "straggling shard; an error sheds the hedge (counted in "
-       "aqua_shard_hedge_shed_total) while the primary keeps running"},
   };
   return *sites;
 }

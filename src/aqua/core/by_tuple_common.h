@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "aqua/core/row_span.h"
 #include "aqua/reformulate/reformulator.h"
 
 namespace aqua {
@@ -16,23 +17,6 @@ inline bool TupleSatisfies(const Reformulator::MappingBinding& b,
                            const Table& table, size_t row) {
   if (!b.predicate.Matches(table, row)) return false;
   return b.attribute == nullptr || !b.attribute->IsNull(row);
-}
-
-/// Invokes `fn(row)` for every row in `rows`, or for every row of the
-/// table when `rows` is null. The grouped engine passes per-group row
-/// subsets; ungrouped callers pass null.
-template <typename Fn>
-void ForEachRow(size_t num_rows, const std::vector<uint32_t>* rows, Fn&& fn) {
-  if (rows == nullptr) {
-    for (size_t r = 0; r < num_rows; ++r) fn(r);
-  } else {
-    for (uint32_t r : *rows) fn(r);
-  }
-}
-
-/// Number of rows visited by `ForEachRow`.
-inline size_t RowCount(size_t num_rows, const std::vector<uint32_t>* rows) {
-  return rows == nullptr ? num_rows : rows->size();
 }
 
 /// Per-(tuple, mapping) evaluation cache shared by the naive enumerator
@@ -50,30 +34,22 @@ struct TupleMappingGrid {
   double Val(size_t i, size_t j) const { return value[i * m + j]; }
 };
 
-/// Precomputes the grid for `query` over `source` (all rows when `rows` is
-/// null). Costs one predicate evaluation per (tuple, mapping).
+/// Precomputes the grid for `query` over the `rows` of `source`. Costs one
+/// predicate evaluation per (tuple, mapping).
 inline Result<TupleMappingGrid> BuildTupleMappingGrid(
     const AggregateQuery& query, const PMapping& pmapping,
-    const Table& source, const std::vector<uint32_t>* rows) {
+    const Table& source, RowSpan rows) {
   AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
                         Reformulator::BindAll(query, pmapping, source));
-  std::vector<uint32_t> all_rows;
-  if (rows == nullptr) {
-    all_rows.resize(source.num_rows());
-    for (size_t r = 0; r < all_rows.size(); ++r) {
-      all_rows[r] = static_cast<uint32_t>(r);
-    }
-    rows = &all_rows;
-  }
   TupleMappingGrid grid;
-  grid.n = rows->size();
+  grid.n = rows.size(source.num_rows());
   grid.m = bindings.size();
   grid.satisfies.assign(grid.n * grid.m, 0);
   grid.value.assign(grid.n * grid.m, 0.0);
   grid.prob.resize(grid.m);
   for (size_t j = 0; j < grid.m; ++j) grid.prob[j] = bindings[j].probability;
   for (size_t i = 0; i < grid.n; ++i) {
-    const size_t r = (*rows)[i];
+    const size_t r = rows.row(i);
     for (size_t j = 0; j < grid.m; ++j) {
       if (TupleSatisfies(bindings[j], source, r)) {
         grid.satisfies[i * grid.m + j] = 1;

@@ -10,8 +10,6 @@
 namespace aqua {
 namespace {
 
-using by_tuple_internal::ForEachRow;
-using by_tuple_internal::RowCount;
 using by_tuple_internal::TupleSatisfies;
 
 /// Tuples folded per wavefront block of the COUNT distribution DP, and
@@ -101,7 +99,7 @@ Result<std::vector<Reformulator::MappingBinding>> BindCountQuery(
 Result<Interval> ByTupleCount::Range(const AggregateQuery& query,
                                      const PMapping& pmapping,
                                      const Table& source,
-                                     const std::vector<uint32_t>* rows,
+                                     RowSpan rows,
                                      ExecContext* ctx) {
   obs::TraceSpan span("ByTupleCount::Range");
   AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
@@ -109,13 +107,13 @@ Result<Interval> ByTupleCount::Range(const AggregateQuery& query,
   // O(n*m) single pass: charge the whole scan up front (exact for the step
   // budget, one clock read for the deadline).
   AQUA_RETURN_NOT_OK(
-      ExecCharge(ctx, RowCount(source.num_rows(), rows) * bindings.size()));
+      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
   AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
   // Paper Figure 2: low counts tuples satisfying under all mappings, up
   // counts tuples satisfying under at least one.
   int64_t low = 0;
   int64_t up = 0;
-  ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     bool all = true;
     bool any = false;
     for (const auto& b : bindings) {
@@ -134,7 +132,7 @@ Result<Interval> ByTupleCount::Range(const AggregateQuery& query,
 Result<Distribution> ByTupleCount::Dist(const AggregateQuery& query,
                                         const PMapping& pmapping,
                                         const Table& source,
-                                        const std::vector<uint32_t>* rows,
+                                        RowSpan rows,
                                         ExecContext* ctx,
                                         const exec::ExecPolicy& policy) {
   obs::TraceSpan span("ByTupleCount::Dist");
@@ -145,7 +143,7 @@ Result<Distribution> ByTupleCount::Dist(const AggregateQuery& query,
   // Processing tuple i folds in occProb_i, the total probability of the
   // mappings under which tuple i satisfies the condition:
   //   pd[c] <- pd[c] * (1 - occ) + pd[c-1] * occ.
-  const size_t n = RowCount(source.num_rows(), rows);
+  const size_t n = rows.size(source.num_rows());
   const size_t m = bindings.size();
 
   // Phase 1: per-tuple occurrence probabilities — an embarrassingly
@@ -157,7 +155,7 @@ Result<Distribution> ByTupleCount::Dist(const AggregateQuery& query,
       [&](const exec::Chunk& chunk, ExecContext* child) -> Status {
         AQUA_RETURN_NOT_OK(ExecCharge(child, chunk.size() * m));
         for (size_t i = chunk.begin; i < chunk.end; ++i) {
-          const size_t r = rows == nullptr ? i : (*rows)[i];
+          const size_t r = rows.row(i);
           double occ = 0.0;
           for (const auto& b : bindings) {
             if (TupleSatisfies(b, source, r)) occ += b.probability;
@@ -214,17 +212,17 @@ Result<Distribution> ByTupleCount::Dist(const AggregateQuery& query,
 Result<double> ByTupleCount::Expected(const AggregateQuery& query,
                                       const PMapping& pmapping,
                                       const Table& source,
-                                      const std::vector<uint32_t>* rows,
+                                      RowSpan rows,
                                       ExecContext* ctx) {
   obs::TraceSpan span("ByTupleCount::Expected");
   AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
                         BindCountQuery(query, pmapping, source));
   AQUA_RETURN_NOT_OK(
-      ExecCharge(ctx, RowCount(source.num_rows(), rows) * bindings.size()));
+      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
   AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
   // Linearity of expectation: E[COUNT] = sum_i Pr(tuple i satisfies C).
   double expected = 0.0;
-  ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     for (const auto& b : bindings) {
       if (TupleSatisfies(b, source, r)) expected += b.probability;
     }
@@ -234,7 +232,7 @@ Result<double> ByTupleCount::Expected(const AggregateQuery& query,
 
 Result<double> ByTupleCount::ExpectedViaDistribution(
     const AggregateQuery& query, const PMapping& pmapping,
-    const Table& source, const std::vector<uint32_t>* rows, ExecContext* ctx,
+    const Table& source, RowSpan rows, ExecContext* ctx,
     const exec::ExecPolicy& policy) {
   AQUA_ASSIGN_OR_RETURN(Distribution d,
                         Dist(query, pmapping, source, rows, ctx, policy));

@@ -6,6 +6,7 @@
 
 #include "aqua/common/exec_context.h"
 #include "aqua/common/interval.h"
+#include "aqua/core/row_span.h"
 #include "aqua/exec/parallel.h"
 #include "aqua/mapping/p_mapping.h"
 #include "aqua/prob/distribution.h"
@@ -16,8 +17,8 @@ namespace aqua {
 
 /// The paper's PTIME COUNT algorithms under the by-tuple semantics.
 ///
-/// Every entry point takes an optional `rows` subset (used by the grouped
-/// engine to run the recurrence per group); null means all rows. The query
+/// Every entry point takes an optional `rows` span (one shard's range or
+/// one group's ids); the default is every row. The query
 /// must be `COUNT(*)` or `COUNT(A)` without DISTINCT (COUNT DISTINCT under
 /// by-tuple has no known PTIME algorithm and is rejected).
 class ByTupleCount {
@@ -28,7 +29,7 @@ class ByTupleCount {
   /// upper bound. O(n*m).
   static Result<Interval> Range(const AggregateQuery& query,
                                 const PMapping& pmapping, const Table& source,
-                                const std::vector<uint32_t>* rows = nullptr,
+                                RowSpan rows = {},
                                 ExecContext* ctx = nullptr);
 
   /// `ByTuplePDCOUNT` (paper Figure 3): dynamic program over the count
@@ -47,7 +48,7 @@ class ByTupleCount {
   static Result<Distribution> Dist(const AggregateQuery& query,
                                    const PMapping& pmapping,
                                    const Table& source,
-                                   const std::vector<uint32_t>* rows = nullptr,
+                                   RowSpan rows = {},
                                    ExecContext* ctx = nullptr,
                                    const exec::ExecPolicy& policy = {});
 
@@ -60,14 +61,14 @@ class ByTupleCount {
   static Result<double> Expected(const AggregateQuery& query,
                                  const PMapping& pmapping,
                                  const Table& source,
-                                 const std::vector<uint32_t>* rows = nullptr,
+                                 RowSpan rows = {},
                                  ExecContext* ctx = nullptr);
 
   /// Expected COUNT computed by building the full distribution first —
   /// the paper's formulation. O(m*n + n^2).
   static Result<double> ExpectedViaDistribution(
       const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, const std::vector<uint32_t>* rows = nullptr,
+      const Table& source, RowSpan rows = {},
       ExecContext* ctx = nullptr, const exec::ExecPolicy& policy = {});
 };
 

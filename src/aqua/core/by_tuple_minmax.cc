@@ -1,15 +1,17 @@
 #include "aqua/core/by_tuple_minmax.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 
+#include "aqua/common/check.h"
 #include "aqua/core/by_tuple_common.h"
 #include "aqua/obs/trace.h"
 
 namespace aqua {
 namespace {
 
-using by_tuple_internal::ForEachRow;
 using by_tuple_internal::TupleSatisfies;
 
 struct Extremes {
@@ -25,7 +27,7 @@ struct Extremes {
 
 Result<Extremes> Collect(const AggregateQuery& query,
                          const PMapping& pmapping, const Table& source,
-                         const std::vector<uint32_t>* rows,
+                         RowSpan rows,
                          AggregateFunction expected, ExecContext* ctx) {
   if (query.func != expected) {
     return Status::InvalidArgument(
@@ -35,12 +37,11 @@ Result<Extremes> Collect(const AggregateQuery& query,
   }
   AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
                         Reformulator::BindAll(query, pmapping, source));
-  AQUA_RETURN_NOT_OK(ExecCharge(
-      ctx, by_tuple_internal::RowCount(source.num_rows(), rows) *
-               bindings.size()));
+  AQUA_RETURN_NOT_OK(
+      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
   AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
   Extremes e;
-  ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     bool any = false;
     bool all = true;
     double vmin = 0.0, vmax = 0.0;
@@ -81,7 +82,7 @@ Result<Extremes> Collect(const AggregateQuery& query,
 Result<Interval> ByTupleMinMax::RangeMax(const AggregateQuery& query,
                                          const PMapping& pmapping,
                                          const Table& source,
-                                         const std::vector<uint32_t>* rows,
+                                         RowSpan rows,
                                          ExecContext* ctx) {
   obs::TraceSpan span("ByTupleMinMax::RangeMax");
   AQUA_ASSIGN_OR_RETURN(
@@ -100,7 +101,7 @@ Result<Interval> ByTupleMinMax::RangeMax(const AggregateQuery& query,
 Result<Interval> ByTupleMinMax::RangeMin(const AggregateQuery& query,
                                          const PMapping& pmapping,
                                          const Table& source,
-                                         const std::vector<uint32_t>* rows,
+                                         RowSpan rows,
                                          ExecContext* ctx) {
   obs::TraceSpan span("ByTupleMinMax::RangeMin");
   AQUA_ASSIGN_OR_RETURN(
@@ -113,12 +114,38 @@ Result<Interval> ByTupleMinMax::RangeMin(const AggregateQuery& query,
 
 namespace {
 
+/// A running product of positive factors, kept as a frexp-normalised
+/// mantissa and a binary exponent so that it never underflows: over
+/// hundreds of thousands of tuples the plain double product reaches 0.0,
+/// and multiplying by a later ratio cannot bring it back. Scaling by a
+/// power of two is exact, so the bits match the plain product wherever
+/// that product stays normal.
+class ScaledProduct {
+ public:
+  void Multiply(double factor) {
+    int exp = 0;
+    mantissa_ = std::frexp(mantissa_ * factor, &exp);
+    exponent_ += exp;
+  }
+
+  double Value() const {
+    // Anything below 2^-1100 reads as zero; the clamp only keeps the
+    // conversion to int in range.
+    return std::ldexp(mantissa_,
+                      static_cast<int>(std::max<int64_t>(exponent_, -1100)));
+  }
+
+ private:
+  double mantissa_ = 1.0;
+  int64_t exponent_ = 0;
+};
+
 /// Shared sweep for DistMax/DistMin. `toward_max` selects the direction:
 /// MAX sweeps candidate values ascending accumulating P(MAX <= x); MIN
 /// sweeps descending accumulating P(MIN >= x).
 Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
                                  const PMapping& pmapping, const Table& source,
-                                 const std::vector<uint32_t>* rows,
+                                 RowSpan rows,
                                  AggregateFunction expected, bool toward_max,
                                  ExecContext* ctx) {
   if (query.func != expected) {
@@ -141,7 +168,7 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
   std::vector<Event> events;
   std::vector<double> excluded;  // per-tuple Pr(contributes nothing)
   uint32_t dense = 0;
-  by_tuple_internal::ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     double excl = 0.0;
     bool any = false;
     const uint32_t i = dense;
@@ -177,7 +204,7 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
   // q_i leaving zero never divides by zero.
   std::vector<double> q = excluded;
   size_t zeros = 0;
-  double product = 1.0;
+  ScaledProduct product;
   double undefined = 1.0;
   for (double e : q) {
     // Exact-zero factors are tracked separately so the running product
@@ -186,7 +213,7 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
     if (e == 0.0) {
       ++zeros;
     } else {
-      product *= e;
+      product.Multiply(e);
     }
     undefined *= e;
   }
@@ -196,6 +223,7 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
   // P(extremum is defined and bounded by x) + undefined mass; the atom at
   // x is the increase over the previous cumulative value.
   double prev_cdf = undefined;  // P(all excluded) = "bounded by" vacuously
+  double mass = 0.0;
   std::vector<Distribution::Entry> entries;
   size_t pos = 0;
   while (pos < events.size()) {
@@ -210,19 +238,28 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
       // aqua-lint: allow(float-equality)
       if (old_q == 0.0) {
         --zeros;
-        product *= new_q;
+        product.Multiply(new_q);
       } else {
-        product *= new_q / old_q;
+        product.Multiply(new_q / old_q);
       }
       q[ev.tuple] = new_q;
       ++pos;
     }
-    const double cdf = zeros > 0 ? 0.0 : product;
+    const double cdf = zeros > 0 ? 0.0 : product.Value();
     const double atom = cdf - prev_cdf;
     if (atom > 0.0) {
       entries.push_back(Distribution::Entry{x, atom});
+      mass += atom;
     }
     prev_cdf = cdf;
+  }
+  // Every tuple's q_i ends at 1, so the atoms telescope to 1 minus the
+  // undefined mass; a shortfall means the running product lost its mass.
+  if (ParanoidChecksEnabled()) {
+    AQUA_CHECK(std::fabs(mass + undefined - 1.0) <=
+               1e-9 + 1e-13 * static_cast<double>(events.size()))
+        << (toward_max ? "MAX" : "MIN") << " distribution mass " << mass
+        << " plus undefined mass " << undefined << " is not 1";
   }
   AQUA_ASSIGN_OR_RETURN(answer.distribution,
                         Distribution::FromEntries(std::move(entries)));
@@ -234,7 +271,7 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
 Result<NaiveAnswer> ByTupleMinMax::DistMax(const AggregateQuery& query,
                                            const PMapping& pmapping,
                                            const Table& source,
-                                           const std::vector<uint32_t>* rows,
+                                           RowSpan rows,
                                            ExecContext* ctx) {
   obs::TraceSpan span("ByTupleMinMax::DistMax");
   return DistExtremum(query, pmapping, source, rows, AggregateFunction::kMax,
@@ -244,7 +281,7 @@ Result<NaiveAnswer> ByTupleMinMax::DistMax(const AggregateQuery& query,
 Result<NaiveAnswer> ByTupleMinMax::DistMin(const AggregateQuery& query,
                                            const PMapping& pmapping,
                                            const Table& source,
-                                           const std::vector<uint32_t>* rows,
+                                           RowSpan rows,
                                            ExecContext* ctx) {
   obs::TraceSpan span("ByTupleMinMax::DistMin");
   return DistExtremum(query, pmapping, source, rows, AggregateFunction::kMin,
@@ -269,7 +306,7 @@ Result<double> ExpectedFrom(Result<NaiveAnswer> answer) {
 Result<double> ByTupleMinMax::ExpectedMax(const AggregateQuery& query,
                                           const PMapping& pmapping,
                                           const Table& source,
-                                          const std::vector<uint32_t>* rows,
+                                          RowSpan rows,
                                           ExecContext* ctx) {
   obs::TraceSpan span("ByTupleMinMax::ExpectedMax");
   return ExpectedFrom(DistMax(query, pmapping, source, rows, ctx));
@@ -278,7 +315,7 @@ Result<double> ByTupleMinMax::ExpectedMax(const AggregateQuery& query,
 Result<double> ByTupleMinMax::ExpectedMin(const AggregateQuery& query,
                                           const PMapping& pmapping,
                                           const Table& source,
-                                          const std::vector<uint32_t>* rows,
+                                          RowSpan rows,
                                           ExecContext* ctx) {
   obs::TraceSpan span("ByTupleMinMax::ExpectedMin");
   return ExpectedFrom(DistMin(query, pmapping, source, rows, ctx));

@@ -6,6 +6,7 @@
 
 #include "aqua/common/interval.h"
 #include "aqua/core/naive.h"
+#include "aqua/core/row_span.h"
 #include "aqua/mapping/p_mapping.h"
 #include "aqua/query/ast.h"
 #include "aqua/storage/table.h"
@@ -31,13 +32,13 @@ class ByTupleMinMax {
   static Result<Interval> RangeMax(const AggregateQuery& query,
                                    const PMapping& pmapping,
                                    const Table& source,
-                                   const std::vector<uint32_t>* rows = nullptr,
+                                   RowSpan rows = {},
                                    ExecContext* ctx = nullptr);
 
   static Result<Interval> RangeMin(const AggregateQuery& query,
                                    const PMapping& pmapping,
                                    const Table& source,
-                                   const std::vector<uint32_t>* rows = nullptr,
+                                   RowSpan rows = {},
                                    ExecContext* ctx = nullptr);
 
   /// Exact by-tuple *distribution* of MAX in polynomial time — an
@@ -56,24 +57,24 @@ class ByTupleMinMax {
   /// like the naive enumerator does.
   static Result<NaiveAnswer> DistMax(
       const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, const std::vector<uint32_t>* rows = nullptr,
+      const Table& source, RowSpan rows = {},
       ExecContext* ctx = nullptr);
 
   /// The MIN dual: P(MIN >= x) factorises the same way (descending sweep).
   static Result<NaiveAnswer> DistMin(
       const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, const std::vector<uint32_t>* rows = nullptr,
+      const Table& source, RowSpan rows = {},
       ExecContext* ctx = nullptr);
 
   /// Expected MIN/MAX derived from the exact distribution; fails when the
   /// aggregate is undefined with positive probability.
   static Result<double> ExpectedMax(
       const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, const std::vector<uint32_t>* rows = nullptr,
+      const Table& source, RowSpan rows = {},
       ExecContext* ctx = nullptr);
   static Result<double> ExpectedMin(
       const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, const std::vector<uint32_t>* rows = nullptr,
+      const Table& source, RowSpan rows = {},
       ExecContext* ctx = nullptr);
 };
 

@@ -12,7 +12,6 @@
 namespace aqua {
 namespace {
 
-using by_tuple_internal::ForEachRow;
 using by_tuple_internal::TupleSatisfies;
 
 /// Per-tuple summary across the candidate mappings.
@@ -66,19 +65,18 @@ Result<std::vector<Reformulator::MappingBinding>> BindChecked(
 Result<Interval> ByTupleSum::RangeSum(const AggregateQuery& query,
                                       const PMapping& pmapping,
                                       const Table& source,
-                                      const std::vector<uint32_t>* rows,
+                                      RowSpan rows,
                                       ExecContext* ctx) {
   obs::TraceSpan span("ByTupleSum::RangeSum");
   AQUA_ASSIGN_OR_RETURN(
       std::vector<Reformulator::MappingBinding> bindings,
       BindChecked(query, pmapping, source, AggregateFunction::kSum));
-  AQUA_RETURN_NOT_OK(ExecCharge(
-      ctx, by_tuple_internal::RowCount(source.num_rows(), rows) *
-               bindings.size()));
+  AQUA_RETURN_NOT_OK(
+      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
   AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
   double low = 0.0;
   double up = 0.0;
-  ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     const TupleStats s = Summarise(bindings, source, r);
     if (!s.any) return;
     if (s.all) {
@@ -116,7 +114,7 @@ Result<double> ByTupleSum::ExpectedSum(const AggregateQuery& query,
 
 Result<Distribution> ByTupleSum::DistQuantized(
     const AggregateQuery& query, const PMapping& pmapping, const Table& source,
-    const QuantizedDistOptions& options, const std::vector<uint32_t>* rows,
+    const QuantizedDistOptions& options, RowSpan rows,
     ExecContext* ctx) {
   obs::TraceSpan span("ByTupleSum::DistQuantized");
   if (options.resolution <= 0.0) {
@@ -137,7 +135,7 @@ Result<Distribution> ByTupleSum::DistQuantized(
   int64_t total_min = 0;
   int64_t total_max = 0;
   Status scan_status = Status::OK();
-  by_tuple_internal::ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     if (!scan_status.ok()) return;
     std::vector<Atom> atoms;
     for (const auto& b : bindings) {
@@ -236,7 +234,7 @@ Result<Distribution> ByTupleSum::DistQuantized(
 
 Result<NaiveAnswer> ByTupleSum::DistAvgQuantized(
     const AggregateQuery& query, const PMapping& pmapping, const Table& source,
-    const QuantizedDistOptions& options, const std::vector<uint32_t>* rows,
+    const QuantizedDistOptions& options, RowSpan rows,
     ExecContext* ctx) {
   obs::TraceSpan span("ByTupleSum::DistAvgQuantized");
   if (options.resolution <= 0.0) {
@@ -258,7 +256,7 @@ Result<NaiveAnswer> ByTupleSum::DistAvgQuantized(
   int64_t sum_min = 0;  // over included choices only (exclusion adds 0)
   int64_t sum_max = 0;
   Status scan_status = Status::OK();
-  by_tuple_internal::ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     if (!scan_status.ok()) return;
     TupleAtoms t;
     for (const auto& b : bindings) {
@@ -372,18 +370,17 @@ Result<NaiveAnswer> ByTupleSum::DistAvgQuantized(
 Result<double> ByTupleSum::ExpectedSumLinear(const AggregateQuery& query,
                                              const PMapping& pmapping,
                                              const Table& source,
-                                             const std::vector<uint32_t>* rows,
+                                             RowSpan rows,
                                              ExecContext* ctx) {
   obs::TraceSpan span("ByTupleSum::ExpectedSumLinear");
   AQUA_ASSIGN_OR_RETURN(
       std::vector<Reformulator::MappingBinding> bindings,
       BindChecked(query, pmapping, source, AggregateFunction::kSum));
-  AQUA_RETURN_NOT_OK(ExecCharge(
-      ctx, by_tuple_internal::RowCount(source.num_rows(), rows) *
-               bindings.size()));
+  AQUA_RETURN_NOT_OK(
+      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
   AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
   double expected = 0.0;
-  ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     for (const auto& b : bindings) {
       if (TupleSatisfies(b, source, r)) {
         expected += b.probability * b.attribute->NumericAt(r);
@@ -396,19 +393,18 @@ Result<double> ByTupleSum::ExpectedSumLinear(const AggregateQuery& query,
 Result<Interval> ByTupleSum::RangeAvgPaper(const AggregateQuery& query,
                                            const PMapping& pmapping,
                                            const Table& source,
-                                           const std::vector<uint32_t>* rows,
+                                           RowSpan rows,
                                            ExecContext* ctx) {
   obs::TraceSpan span("ByTupleSum::RangeAvgPaper");
   AQUA_ASSIGN_OR_RETURN(
       std::vector<Reformulator::MappingBinding> bindings,
       BindChecked(query, pmapping, source, AggregateFunction::kAvg));
-  AQUA_RETURN_NOT_OK(ExecCharge(
-      ctx, by_tuple_internal::RowCount(source.num_rows(), rows) *
-               bindings.size()));
+  AQUA_RETURN_NOT_OK(
+      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
   AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
   double low_sum = 0.0, up_sum = 0.0;
   int64_t low_cnt = 0, up_cnt = 0;
-  ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     const TupleStats s = Summarise(bindings, source, r);
     if (!s.any) return;
     low_sum += s.vmin;
@@ -428,20 +424,19 @@ Result<Interval> ByTupleSum::RangeAvgPaper(const AggregateQuery& query,
 Result<Interval> ByTupleSum::RangeAvgExact(const AggregateQuery& query,
                                            const PMapping& pmapping,
                                            const Table& source,
-                                           const std::vector<uint32_t>* rows,
+                                           RowSpan rows,
                                            ExecContext* ctx) {
   obs::TraceSpan span("ByTupleSum::RangeAvgExact");
   AQUA_ASSIGN_OR_RETURN(
       std::vector<Reformulator::MappingBinding> bindings,
       BindChecked(query, pmapping, source, AggregateFunction::kAvg));
-  AQUA_RETURN_NOT_OK(ExecCharge(
-      ctx, by_tuple_internal::RowCount(source.num_rows(), rows) *
-               bindings.size()));
+  AQUA_RETURN_NOT_OK(
+      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
   AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
   double mand_min_sum = 0.0, mand_max_sum = 0.0;
   int64_t mand_cnt = 0;
   std::vector<double> opt_min, opt_max;  // optional tuples' extreme values
-  ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     const TupleStats s = Summarise(bindings, source, r);
     if (!s.any) return;
     if (s.all) {

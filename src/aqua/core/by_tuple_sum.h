@@ -6,6 +6,7 @@
 
 #include "aqua/common/interval.h"
 #include "aqua/core/naive.h"
+#include "aqua/core/row_span.h"
 #include "aqua/mapping/p_mapping.h"
 #include "aqua/prob/distribution.h"
 #include "aqua/query/ast.h"
@@ -44,7 +45,7 @@ class ByTupleSum {
   static Result<Interval> RangeSum(const AggregateQuery& query,
                                    const PMapping& pmapping,
                                    const Table& source,
-                                   const std::vector<uint32_t>* rows = nullptr,
+                                   RowSpan rows = {},
                                    ExecContext* ctx = nullptr);
 
   /// SUM under by-tuple/expected-value semantics. By the paper's Theorem 4
@@ -62,7 +63,7 @@ class ByTupleSum {
   /// engine uses it. O(n*m).
   static Result<double> ExpectedSumLinear(
       const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, const std::vector<uint32_t>* rows = nullptr,
+      const Table& source, RowSpan rows = {},
       ExecContext* ctx = nullptr);
 
   /// AVG under by-tuple/range semantics, as specified in the paper
@@ -73,7 +74,7 @@ class ByTupleSum {
   /// slightly wider or narrower interval than the tight one.
   static Result<Interval> RangeAvgPaper(
       const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, const std::vector<uint32_t>* rows = nullptr,
+      const Table& source, RowSpan rows = {},
       ExecContext* ctx = nullptr);
 
   /// By-tuple SUM distribution by dynamic programming over a quantised
@@ -89,7 +90,7 @@ class ByTupleSum {
   static Result<Distribution> DistQuantized(
       const AggregateQuery& query, const PMapping& pmapping,
       const Table& source, const QuantizedDistOptions& options = {},
-      const std::vector<uint32_t>* rows = nullptr,
+      RowSpan rows = {},
       ExecContext* ctx = nullptr);
 
   /// By-tuple AVG distribution by dynamic programming over the *joint*
@@ -103,7 +104,7 @@ class ByTupleSum {
   static Result<NaiveAnswer> DistAvgQuantized(
       const AggregateQuery& query, const PMapping& pmapping,
       const Table& source, const QuantizedDistOptions& options = {},
-      const std::vector<uint32_t>* rows = nullptr,
+      RowSpan rows = {},
       ExecContext* ctx = nullptr);
 
   /// Tight AVG range (this repository's extension): for each bound, the
@@ -113,7 +114,7 @@ class ByTupleSum {
   /// value order while they improve the running mean. O(n*m + n log n).
   static Result<Interval> RangeAvgExact(
       const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, const std::vector<uint32_t>* rows = nullptr,
+      const Table& source, RowSpan rows = {},
       ExecContext* ctx = nullptr);
 };
 

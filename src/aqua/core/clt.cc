@@ -9,7 +9,6 @@
 namespace aqua {
 namespace {
 
-using by_tuple_internal::ForEachRow;
 using by_tuple_internal::TupleSatisfies;
 
 // Acklam's rational approximation of the standard normal quantile.
@@ -80,7 +79,7 @@ Result<Interval> NormalApproximation::CredibleInterval(double coverage) const {
 
 Result<NormalApproximation> ByTupleCLT::ApproxSum(
     const AggregateQuery& query, const PMapping& pmapping, const Table& source,
-    const std::vector<uint32_t>* rows, ExecContext* ctx) {
+    RowSpan rows, ExecContext* ctx) {
   obs::TraceSpan span("ByTupleCLT::ApproxSum");
   if (query.func != AggregateFunction::kSum) {
     return Status::InvalidArgument("ApproxSum requires a SUM query");
@@ -91,12 +90,11 @@ Result<NormalApproximation> ByTupleCLT::ApproxSum(
   }
   AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
                         Reformulator::BindAll(query, pmapping, source));
-  AQUA_RETURN_NOT_OK(ExecCharge(
-      ctx, by_tuple_internal::RowCount(source.num_rows(), rows) *
-               bindings.size()));
+  AQUA_RETURN_NOT_OK(
+      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
   AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
   NormalApproximation approx;
-  ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     // Tuple i contributes v_ij with probability Pr(m_j) when it satisfies
     // under m_j, and 0 otherwise.
     double ex = 0.0;   // E[X_i]
@@ -116,7 +114,7 @@ Result<NormalApproximation> ByTupleCLT::ApproxSum(
 
 Result<double> ByTupleCLT::ApproxAvgExpectation(
     const AggregateQuery& query, const PMapping& pmapping, const Table& source,
-    const std::vector<uint32_t>* rows, double min_expected_count,
+    RowSpan rows, double min_expected_count,
     ExecContext* ctx) {
   obs::TraceSpan span("ByTupleCLT::ApproxAvgExpectation");
   if (query.func != AggregateFunction::kAvg) {
@@ -128,9 +126,8 @@ Result<double> ByTupleCLT::ApproxAvgExpectation(
   }
   AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
                         Reformulator::BindAll(query, pmapping, source));
-  AQUA_RETURN_NOT_OK(ExecCharge(
-      ctx, by_tuple_internal::RowCount(source.num_rows(), rows) *
-               bindings.size()));
+  AQUA_RETURN_NOT_OK(
+      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
   AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
   // Per tuple: s_i = contributed value (0 when excluded), c_i = inclusion
   // indicator. s_i*c_i == s_i, so Cov(s_i, c_i) = E[s_i] - E[s_i]E[c_i].
@@ -138,7 +135,7 @@ Result<double> ByTupleCLT::ApproxAvgExpectation(
   double ec = 0.0;   // E[C]
   double var_c = 0.0;
   double cov_sc = 0.0;
-  ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     double e_si = 0.0;
     double occ = 0.0;
     for (const auto& b : bindings) {
@@ -162,7 +159,7 @@ Result<double> ByTupleCLT::ApproxAvgExpectation(
 
 Result<NormalApproximation> ByTupleCLT::ApproxCount(
     const AggregateQuery& query, const PMapping& pmapping, const Table& source,
-    const std::vector<uint32_t>* rows, ExecContext* ctx) {
+    RowSpan rows, ExecContext* ctx) {
   obs::TraceSpan span("ByTupleCLT::ApproxCount");
   if (query.func != AggregateFunction::kCount) {
     return Status::InvalidArgument("ApproxCount requires a COUNT query");
@@ -172,12 +169,11 @@ Result<NormalApproximation> ByTupleCLT::ApproxCount(
   }
   AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
                         Reformulator::BindAll(query, pmapping, source));
-  AQUA_RETURN_NOT_OK(ExecCharge(
-      ctx, by_tuple_internal::RowCount(source.num_rows(), rows) *
-               bindings.size()));
+  AQUA_RETURN_NOT_OK(
+      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
   AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
   NormalApproximation approx;
-  ForEachRow(source.num_rows(), rows, [&](size_t r) {
+  rows.ForEach(source.num_rows(), [&](size_t r) {
     double occ = 0.0;
     for (const auto& b : bindings) {
       if (TupleSatisfies(b, source, r)) occ += b.probability;

@@ -7,6 +7,7 @@
 #include "aqua/common/exec_context.h"
 #include "aqua/common/interval.h"
 #include "aqua/common/result.h"
+#include "aqua/core/row_span.h"
 #include "aqua/mapping/p_mapping.h"
 #include "aqua/query/ast.h"
 #include "aqua/storage/table.h"
@@ -53,7 +54,7 @@ class ByTupleCLT {
   /// approximation. DISTINCT is rejected.
   static Result<NormalApproximation> ApproxSum(
       const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, const std::vector<uint32_t>* rows = nullptr,
+      const Table& source, RowSpan rows = {},
       ExecContext* ctx = nullptr);
 
   /// Second-order delta-method estimate of the by-tuple *expected AVG* —
@@ -70,7 +71,7 @@ class ByTupleCLT {
   /// count is below `min_expected_count`.
   static Result<double> ApproxAvgExpectation(
       const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, const std::vector<uint32_t>* rows = nullptr,
+      const Table& source, RowSpan rows = {},
       double min_expected_count = 5.0, ExecContext* ctx = nullptr);
 
   /// Approximates the by-tuple COUNT distribution (a Poisson-binomial:
@@ -80,7 +81,7 @@ class ByTupleCLT {
   /// alternative benchmarked in Figure 9's ablation discussion.
   static Result<NormalApproximation> ApproxCount(
       const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, const std::vector<uint32_t>* rows = nullptr,
+      const Table& source, RowSpan rows = {},
       ExecContext* ctx = nullptr);
 };
 

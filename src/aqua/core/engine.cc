@@ -8,28 +8,18 @@
 #include "aqua/common/failpoint.h"
 #include "aqua/common/string_util.h"
 #include "aqua/core/by_table.h"
-#include "aqua/obs/metrics.h"
-#include "aqua/obs/trace.h"
-#include "aqua/core/by_tuple_count.h"
-#include "aqua/core/by_tuple_minmax.h"
-#include "aqua/core/by_tuple_sum.h"
+#include "aqua/core/cells.h"
 #include "aqua/core/merge.h"
 #include "aqua/core/nested.h"
+#include "aqua/core/shards.h"
+#include "aqua/obs/metrics.h"
+#include "aqua/obs/trace.h"
 #include "aqua/query/executor.h"
 #include "aqua/query/parser.h"
 #include "aqua/reformulate/reformulator.h"
 
 namespace aqua {
 namespace {
-
-Status OpenCell(const AggregateQuery& query, AggregateSemantics semantics) {
-  return Status::Unimplemented(
-      std::string("no PTIME algorithm is known for ") +
-      std::string(AggregateFunctionToString(query.func)) + " under by-tuple/" +
-      std::string(AggregateSemanticsToString(semantics)) +
-      " semantics (paper Figure 6); enable EngineOptions::allow_naive for "
-      "exponential enumeration");
-}
 
 /// Budget failures that are eligible for graceful degradation. A cancel is
 /// a caller decision and is always honoured; kResourceExhausted from the
@@ -103,411 +93,92 @@ Result<AggregateAnswer> FromNaiveDist(NaiveAnswer naive) {
   return AggregateAnswer::MakeDistribution(std::move(naive.distribution));
 }
 
-/// The shardability matrix: cells whose by-tuple algorithm decomposes
-/// over disjoint tuple subsets with an exact merge law (core/merge.h).
-/// COUNT decomposes under all three semantics (convolution / bound sum /
-/// linearity); SUM range and expected value are sums; MIN/MAX
-/// distribution and expected value factorise over per-shard CDFs when
-/// the exact extremum algorithm is on. Everything else (AVG, SUM
-/// distribution, MIN/MAX range with its mandatory/optional bound logic)
-/// runs unsharded.
-bool ShardableCell(const AggregateQuery& query, AggregateSemantics semantics,
-                   const EngineOptions& options) {
-  switch (query.func) {
-    case AggregateFunction::kCount:
-      return true;
-    case AggregateFunction::kSum:
-      return semantics == AggregateSemantics::kRange ||
-             semantics == AggregateSemantics::kExpectedValue;
-    case AggregateFunction::kAvg:
-      return false;
-    case AggregateFunction::kMin:
-    case AggregateFunction::kMax:
-      return semantics != AggregateSemantics::kRange &&
-             options.minmax_distribution_exact;
-  }
-  return false;
-}
-
-size_t EffectiveShards(const EngineOptions& options,
-                       const AggregateQuery& query,
-                       AggregateSemantics semantics, size_t num_rows) {
-  if (options.shards <= 1 || num_rows < 2) return 1;
-  if (!ShardableCell(query, semantics, options)) return 1;
-  return std::min(static_cast<size_t>(options.shards), num_rows);
-}
-
 }  // namespace
 
 Result<AggregateAnswer> Engine::AnswerByTuple(
     const AggregateQuery& query, const PMapping& pmapping,
-    const Table& source, AggregateSemantics semantics,
-    const std::vector<uint32_t>* rows, ExecContext* ctx,
-    const exec::ExecPolicy& policy) const {
-  switch (query.func) {
-    case AggregateFunction::kCount:
-      switch (semantics) {
-        case AggregateSemantics::kRange: {
-          AQUA_ASSIGN_OR_RETURN(
-              Interval r,
-              ByTupleCount::Range(query, pmapping, source, rows, ctx));
-          return AggregateAnswer::MakeRange(r);
-        }
-        case AggregateSemantics::kDistribution: {
-          AQUA_ASSIGN_OR_RETURN(
-              Distribution d,
-              ByTupleCount::Dist(query, pmapping, source, rows, ctx, policy));
-          return AggregateAnswer::MakeDistribution(std::move(d));
-        }
-        case AggregateSemantics::kExpectedValue: {
-          AQUA_ASSIGN_OR_RETURN(
-              double e, options_.count_expected_via_distribution
-                            ? ByTupleCount::ExpectedViaDistribution(
-                                  query, pmapping, source, rows, ctx, policy)
-                            : ByTupleCount::Expected(query, pmapping, source,
-                                                     rows, ctx));
-          return AggregateAnswer::MakeExpected(e);
-        }
-      }
-      break;
-    case AggregateFunction::kSum:
-      switch (semantics) {
-        case AggregateSemantics::kRange: {
-          AQUA_ASSIGN_OR_RETURN(
-              Interval r,
-              ByTupleSum::RangeSum(query, pmapping, source, rows, ctx));
-          return AggregateAnswer::MakeRange(r);
-        }
-        case AggregateSemantics::kExpectedValue: {
-          // Theorem 4: equal to the by-table expected value. The linear
-          // form supports row subsets; for whole tables both paths agree.
-          AQUA_ASSIGN_OR_RETURN(
-              double e,
-              ByTupleSum::ExpectedSumLinear(query, pmapping, source, rows,
-                                            ctx));
-          return AggregateAnswer::MakeExpected(e);
-        }
-        case AggregateSemantics::kDistribution: {
-          if (!options_.allow_naive) return OpenCell(query, semantics);
-          AQUA_ASSIGN_OR_RETURN(
-              NaiveAnswer naive,
-              NaiveByTuple::Dist(query, pmapping, source, options_.naive,
-                                 rows, ctx));
-          return FromNaiveDist(std::move(naive));
-        }
-      }
-      break;
-    case AggregateFunction::kAvg:
-      switch (semantics) {
-        case AggregateSemantics::kRange: {
-          AQUA_ASSIGN_OR_RETURN(
-              Interval r,
-              options_.avg_range_paper
-                  ? ByTupleSum::RangeAvgPaper(query, pmapping, source, rows,
-                                              ctx)
-                  : ByTupleSum::RangeAvgExact(query, pmapping, source, rows,
-                                              ctx));
-          return AggregateAnswer::MakeRange(r);
-        }
-        case AggregateSemantics::kDistribution: {
-          if (!options_.allow_naive) return OpenCell(query, semantics);
-          AQUA_ASSIGN_OR_RETURN(
-              NaiveAnswer naive,
-              NaiveByTuple::Dist(query, pmapping, source, options_.naive,
-                                 rows, ctx));
-          return FromNaiveDist(std::move(naive));
-        }
-        case AggregateSemantics::kExpectedValue: {
-          if (!options_.allow_naive) return OpenCell(query, semantics);
-          AQUA_ASSIGN_OR_RETURN(
-              double e, NaiveByTuple::Expected(query, pmapping, source,
-                                               options_.naive, rows, ctx));
-          return AggregateAnswer::MakeExpected(e);
-        }
-      }
-      break;
-    case AggregateFunction::kMin:
-    case AggregateFunction::kMax:
-      switch (semantics) {
-        case AggregateSemantics::kRange: {
-          AQUA_ASSIGN_OR_RETURN(
-              Interval r,
-              query.func == AggregateFunction::kMin
-                  ? ByTupleMinMax::RangeMin(query, pmapping, source, rows,
-                                            ctx)
-                  : ByTupleMinMax::RangeMax(query, pmapping, source, rows,
-                                            ctx));
-          return AggregateAnswer::MakeRange(r);
-        }
-        case AggregateSemantics::kDistribution: {
-          if (options_.minmax_distribution_exact) {
-            AQUA_ASSIGN_OR_RETURN(
-                NaiveAnswer exact,
-                query.func == AggregateFunction::kMin
-                    ? ByTupleMinMax::DistMin(query, pmapping, source, rows,
-                                             ctx)
-                    : ByTupleMinMax::DistMax(query, pmapping, source, rows,
-                                             ctx));
-            return FromNaiveDist(std::move(exact));
-          }
-          if (!options_.allow_naive) return OpenCell(query, semantics);
-          AQUA_ASSIGN_OR_RETURN(
-              NaiveAnswer naive,
-              NaiveByTuple::Dist(query, pmapping, source, options_.naive,
-                                 rows, ctx));
-          return FromNaiveDist(std::move(naive));
-        }
-        case AggregateSemantics::kExpectedValue: {
-          if (options_.minmax_distribution_exact) {
-            AQUA_ASSIGN_OR_RETURN(
-                double e,
-                query.func == AggregateFunction::kMin
-                    ? ByTupleMinMax::ExpectedMin(query, pmapping, source,
-                                                 rows, ctx)
-                    : ByTupleMinMax::ExpectedMax(query, pmapping, source,
-                                                 rows, ctx));
-            return AggregateAnswer::MakeExpected(e);
-          }
-          if (!options_.allow_naive) return OpenCell(query, semantics);
-          AQUA_ASSIGN_OR_RETURN(
-              double e, NaiveByTuple::Expected(query, pmapping, source,
-                                               options_.naive, rows, ctx));
-          return AggregateAnswer::MakeExpected(e);
-        }
-      }
-      break;
-  }
-  return Status::Internal("corrupt dispatch");
-}
+    const Table& source, AggregateSemantics semantics, RowSpan rows,
+    ExecContext* ctx, const exec::ExecPolicy& policy, int shards) const {
+  const ByTupleCell& cell = FindByTupleCell(query.func, semantics, options_);
+  const size_t num_rows = source.num_rows();
+  // Cells without a merge law, tables of one row, and every grouped call
+  // run the 1-shard plan: the kernel inline, its partial unmerged.
+  const std::vector<RowSpan> plan =
+      cell.merge != nullptr && shards > 1 && num_rows > 1
+          ? PlanShards(num_rows, shards)
+          : std::vector<RowSpan>{rows};
 
-Result<AggregateAnswer> Engine::AnswerByTupleSharded(
-    const AggregateQuery& query, const PMapping& pmapping,
-    const Table& source, AggregateSemantics semantics,
-    ExecContext* ctx) const {
-  obs::TraceSpan span("Engine::AnswerByTupleSharded");
-  const size_t effective =
-      std::min(static_cast<size_t>(options_.shards), source.num_rows());
-  const std::vector<std::vector<uint32_t>> shard_rows =
-      shard::Supervisor::PlanShards(source.num_rows(),
-                                    static_cast<int>(effective));
-  const bool is_max = query.func == AggregateFunction::kMax;
-
-  // The exact shard job: the cell's own PTIME algorithm over the shard's
-  // rows. Inner algorithms run serial — the shards themselves are the
-  // parallel axis.
-  const shard::ShardJob job =
-      [&](size_t s, const std::vector<uint32_t>& rows,
-          ExecContext* child) -> Result<merge::ShardPartial> {
-    (void)s;
-    merge::ShardPartial p;
-    p.rows_covered = rows.size();
-    switch (query.func) {
-      case AggregateFunction::kCount:
-        switch (semantics) {
-          case AggregateSemantics::kRange: {
-            AQUA_ASSIGN_OR_RETURN(p.range, ByTupleCount::Range(
-                                               query, pmapping, source, &rows,
-                                               child));
-            break;
-          }
-          case AggregateSemantics::kDistribution: {
-            AQUA_ASSIGN_OR_RETURN(
-                p.dist, ByTupleCount::Dist(query, pmapping, source, &rows,
-                                           child, exec::ExecPolicy{}));
-            break;
-          }
-          case AggregateSemantics::kExpectedValue: {
-            AQUA_ASSIGN_OR_RETURN(
-                p.expected,
-                options_.count_expected_via_distribution
-                    ? ByTupleCount::ExpectedViaDistribution(
-                          query, pmapping, source, &rows, child,
-                          exec::ExecPolicy{})
-                    : ByTupleCount::Expected(query, pmapping, source, &rows,
-                                             child));
-            break;
-          }
-        }
-        return p;
-      case AggregateFunction::kSum:
-        switch (semantics) {
-          case AggregateSemantics::kRange: {
-            AQUA_ASSIGN_OR_RETURN(p.range, ByTupleSum::RangeSum(
-                                               query, pmapping, source, &rows,
-                                               child));
-            break;
-          }
-          case AggregateSemantics::kExpectedValue: {
-            AQUA_ASSIGN_OR_RETURN(p.expected, ByTupleSum::ExpectedSumLinear(
-                                                  query, pmapping, source,
-                                                  &rows, child));
-            break;
-          }
-          case AggregateSemantics::kDistribution:
-            return Status::Internal("unshardable SUM cell in shard job");
-        }
-        return p;
-      case AggregateFunction::kMin:
-      case AggregateFunction::kMax: {
-        // Both distribution and expected-value semantics need the
-        // shard-local extremum distribution; the coordinator takes the
-        // expectation after the CDF-product merge.
-        AQUA_ASSIGN_OR_RETURN(
-            NaiveAnswer na,
-            is_max ? ByTupleMinMax::DistMax(query, pmapping, source, &rows,
-                                            child)
-                   : ByTupleMinMax::DistMin(query, pmapping, source, &rows,
-                                            child));
-        p.dist = std::move(na.distribution);
-        p.undefined_mass = na.undefined_mass;
-        return p;
-      }
-      case AggregateFunction::kAvg:
-        break;
-    }
-    return Status::Internal("unshardable cell in shard job");
+  // The jobs capture two references so std::function stores them inline:
+  // a grouped query makes one 1-shard call per group.
+  const CellCall call{query, pmapping, source, semantics,
+                      options_, rows, ctx, policy};
+  const ShardJob exact =
+      [&cell, &call](size_t, RowSpan span, ExecContext* shard_ctx,
+                     const exec::ExecPolicy& shard_policy)
+      -> Result<merge::ShardPartial> {
+    CellCall shard = call;
+    shard.rows = span;
+    shard.ctx = shard_ctx;
+    shard.policy = shard_policy;
+    AQUA_ASSIGN_OR_RETURN(merge::ShardPartial p, cell.kernel(shard));
+    p.rows_covered = span.size(call.source.num_rows());
+    return p;
   };
-
   // The degraded shard job: Monte-Carlo sampling over just this shard's
   // rows, with a per-shard seed so degraded shards draw independent
-  // streams. Only wired up when the engine's degrade ladder allows
-  // sampling at all.
-  const shard::ShardJob fallback_job =
-      [&](size_t s, const std::vector<uint32_t>& rows,
-          ExecContext* child) -> Result<merge::ShardPartial> {
-    SamplerOptions sampler = options_.degrade_sampler;
+  // streams, reshaped into the partial the cell's merge law expects.
+  const ShardJob sampled =
+      [&cell, &call](size_t s, RowSpan span, ExecContext* shard_ctx,
+                     const exec::ExecPolicy& shard_policy)
+      -> Result<merge::ShardPartial> {
+    SamplerOptions sampler = call.options.degrade_sampler;
     sampler.seed ^= 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(s) + 1);
     AQUA_ASSIGN_OR_RETURN(
-        SampledAnswer sampled,
-        ByTupleSampler::Sample(query, pmapping, source, sampler, &rows, child,
-                               exec::ExecPolicy{}));
-    merge::ShardPartial p;
-    p.rows_covered = rows.size();
-    p.approximate = true;
+        SampledAnswer answer,
+        ByTupleSampler::Sample(call.query, call.pmapping, call.source, sampler,
+                               span, shard_ctx, shard_policy));
+    const size_t samples = answer.num_samples;
+    merge::ShardPartial p = cell.merge->from_sample(std::move(answer));
+    p.rows_covered = span.size(call.source.num_rows());
     p.note = "shard " + std::to_string(s) + " sampled (" +
-             std::to_string(sampled.num_samples) + " samples)";
-    switch (semantics) {
-      case AggregateSemantics::kRange:
-        p.range = sampled.observed_range;
-        return p;
-      case AggregateSemantics::kExpectedValue:
-        if (query.func == AggregateFunction::kMin ||
-            query.func == AggregateFunction::kMax) {
-          // The coordinator takes the expectation after the CDF merge.
-          p.dist = std::move(sampled.empirical);
-          p.undefined_mass =
-              sampled.num_samples == 0
-                  ? 1.0
-                  : static_cast<double>(sampled.undefined_samples) /
-                        static_cast<double>(sampled.num_samples);
-          return p;
-        }
-        p.expected = sampled.expected;
-        return p;
-      case AggregateSemantics::kDistribution:
-        p.dist = std::move(sampled.empirical);
-        p.undefined_mass =
-            sampled.num_samples == 0
-                ? 1.0
-                : static_cast<double>(sampled.undefined_samples) /
-                      static_cast<double>(sampled.num_samples);
-        return p;
-    }
-    return Status::Internal("corrupt semantics in shard fallback");
+             std::to_string(samples) + " samples)";
+    return p;
   };
-
-  shard::SupervisorOptions sup;
-  sup.shards = static_cast<int>(shard_rows.size());
-  sup.threads = options_.threads;
-  sup.hedge = options_.hedge;
-  const shard::Supervisor supervisor(sup);
-  shard::SupervisorReport report;
-  const shard::ShardJob* fallback =
-      options_.degrade == DegradePolicy::kSample ? &fallback_job : nullptr;
   AQUA_ASSIGN_OR_RETURN(
-      std::vector<shard::ShardOutcome> outcomes,
-      supervisor.Run(shard_rows, ctx, job, fallback, &report));
+      std::vector<merge::ShardPartial> parts,
+      RunShards(plan, num_rows, policy, ctx, exact,
+                options_.degrade == DegradePolicy::kSample ? &sampled
+                                                           : nullptr));
+  if (parts.size() == 1) return cell.finish(std::move(parts[0]));
 
   // An error here proves a merge-stage failure surfaces as a clean
   // Status, never a half-merged answer.
   AQUA_FAILPOINT("shard/merge");
   const auto merge_start = Clock::now();
-
-  // Coverage backstop: every row planned into a shard came back in
-  // exactly one committed partial. A violation means a torn partial got
-  // past the supervisor — corruption, not an input error.
-  uint64_t covered = 0;
-  for (const shard::ShardOutcome& o : outcomes) {
-    covered += o.partial.rows_covered;
-  }
-  AQUA_CHECK(covered == source.num_rows())
-      << "shard merge coverage hole: partials cover " << covered << " of "
-      << source.num_rows() << " rows";
-
-  std::vector<merge::ShardPartial> parts;
-  parts.reserve(outcomes.size());
-  std::string degrade_notes;
-  for (shard::ShardOutcome& o : outcomes) {
-    if (o.degraded && !o.partial.note.empty()) {
-      if (!degrade_notes.empty()) degrade_notes += "; ";
-      degrade_notes += o.partial.note;
-    }
-    parts.push_back(std::move(o.partial));
-  }
-
-  AggregateAnswer answer;
-  switch (query.func) {
-    case AggregateFunction::kCount:
-    case AggregateFunction::kSum:
-      switch (semantics) {
-        case AggregateSemantics::kRange:
-          answer = AggregateAnswer::MakeRange(merge::MergeIntervalSum(parts));
-          break;
-        case AggregateSemantics::kExpectedValue:
-          answer =
-              AggregateAnswer::MakeExpected(merge::MergeExpectedSum(parts));
-          break;
-        case AggregateSemantics::kDistribution: {
-          AQUA_ASSIGN_OR_RETURN(Distribution d,
-                                merge::MergeCountDistributions(parts));
-          answer = AggregateAnswer::MakeDistribution(std::move(d));
-          break;
-        }
-      }
-      break;
-    case AggregateFunction::kMin:
-    case AggregateFunction::kMax: {
-      AQUA_ASSIGN_OR_RETURN(NaiveAnswer na,
-                            merge::MergeExtremeDistributions(parts, is_max));
-      if (semantics == AggregateSemantics::kDistribution) {
-        AQUA_ASSIGN_OR_RETURN(answer, FromNaiveDist(std::move(na)));
-      } else {
-        // Mirrors ByTupleMinMax's ExpectedFrom, message included.
-        if (na.undefined_mass > 1e-12) {
-          return Status::InvalidArgument(
-              "expected value is undefined: the aggregate has no value "
-              "with probability " +
-              std::to_string(na.undefined_mass));
-        }
-        AQUA_ASSIGN_OR_RETURN(double e, na.distribution.Expectation());
-        answer = AggregateAnswer::MakeExpected(e);
-      }
-      break;
-    }
-    case AggregateFunction::kAvg:
-      return Status::Internal("unshardable cell reached shard merge");
-  }
+  AQUA_ASSIGN_OR_RETURN(merge::ShardPartial merged,
+                        cell.merge->merge(parts, ctx));
+  AQUA_ASSIGN_OR_RETURN(AggregateAnswer answer,
+                        cell.finish(std::move(merged)));
   obs::MetricsRegistry::Default()
       .GetHistogram("aqua_shard_merge_latency_us")
       .Observe(static_cast<double>(ElapsedUs(merge_start)));
 
-  answer.stats.shards = report.shards;
-  answer.stats.degraded_shards = report.degraded;
-  answer.stats.hedged_shards = report.hedged;
-  if (report.degraded > 0) {
-    const std::string note =
-        std::to_string(report.degraded) + " of " +
-        std::to_string(report.shards) + " shards degraded to sampling";
+  uint64_t degraded = 0;
+  std::string degrade_notes;
+  for (const merge::ShardPartial& p : parts) {
+    if (!p.approximate) continue;
+    ++degraded;
+    if (!p.note.empty()) {
+      if (!degrade_notes.empty()) degrade_notes += "; ";
+      degrade_notes += p.note;
+    }
+  }
+  answer.stats.shards = parts.size();
+  answer.stats.degraded_shards = degraded;
+  if (degraded > 0) {
+    const std::string note = std::to_string(degraded) + " of " +
+                             std::to_string(parts.size()) +
+                             " shards degraded to sampling";
     answer.approximate = true;
     answer.note = degrade_notes.empty() ? note : note + " (" +
                                                      degrade_notes + ")";
@@ -557,7 +228,7 @@ Result<AggregateAnswer> Engine::DegradeToSampling(
   AQUA_ASSIGN_OR_RETURN(
       SampledAnswer sampled,
       ByTupleSampler::Sample(query, pmapping, source, options_.degrade_sampler,
-                             /*rows=*/nullptr, &ctx,
+                             /*rows=*/{}, &ctx,
                              exec::ExecPolicy{options_.threads}));
   std::string note = "degraded to sampling (" + exact_failure.message() +
                      "); " + std::to_string(sampled.num_samples) + " samples";
@@ -631,14 +302,9 @@ Result<AggregateAnswer> Engine::Answer(
     // error(resource-exhausted) here deterministically drives the
     // exact-to-sampler degradation edge without needing a tight budget.
     AQUA_FAILPOINT("core/engine/exact");
-    if (EffectiveShards(options_, query, aggregate_semantics,
-                        source.num_rows()) > 1) {
-      return AnswerByTupleSharded(query, pmapping, source,
-                                  aggregate_semantics, &ctx);
-    }
     return AnswerByTuple(query, pmapping, source, aggregate_semantics,
-                         /*rows=*/nullptr, &ctx,
-                         exec::ExecPolicy{options_.threads});
+                         /*rows=*/{}, &ctx,
+                         exec::ExecPolicy{options_.threads}, options_.shards);
   }();
   if (exact.ok()) {
     const int64_t wall = ElapsedUs(start);
@@ -793,7 +459,8 @@ Result<std::vector<GroupedAnswer>> Engine::AnswerGrouped(
         const auto group_start = Clock::now();
         Result<AggregateAnswer> answer =
             AnswerByTuple(ungrouped, pmapping, source, aggregate_semantics,
-                          &group_rows[g], child, exec::ExecPolicy{});
+                          &group_rows[g], child, exec::ExecPolicy{},
+                          /*shards=*/1);
         if (!answer.ok()) {
           // Groups where the aggregate is undefined under every sequence
           // (no tuple ever satisfies) are omitted, like SQL omits empty
@@ -954,64 +621,8 @@ Result<std::string> Engine::ExplainCell(
     return std::string("ByTableAggregateQuery (reformulate per candidate, "
                        "execute, CombineResults), O(l) scans = O(l*n)");
   }
-  const std::string naive =
-      options_.allow_naive
-          ? std::string("NaiveByTuple (enumerate mapping sequences), "
-                        "O(l^n * n)")
-          : std::string("unimplemented (no PTIME algorithm; "
-                        "EngineOptions::allow_naive disabled)");
-  switch (query.func) {
-    case AggregateFunction::kCount:
-      switch (aggregate_semantics) {
-        case AggregateSemantics::kRange:
-          return std::string("ByTupleRangeCOUNT, O(n*m)");
-        case AggregateSemantics::kDistribution:
-          return std::string("ByTuplePDCOUNT, O(m*n + n^2)");
-        case AggregateSemantics::kExpectedValue:
-          return options_.count_expected_via_distribution
-                     ? std::string(
-                           "ByTupleExpValCOUNT via distribution, "
-                           "O(m*n + n^2)")
-                     : std::string(
-                           "ByTupleExpValCOUNT direct (linearity of "
-                           "expectation), O(n*m)");
-      }
-      break;
-    case AggregateFunction::kSum:
-      switch (aggregate_semantics) {
-        case AggregateSemantics::kRange:
-          return std::string("ByTupleRangeSUM, O(n*m)");
-        case AggregateSemantics::kDistribution:
-          return naive;
-        case AggregateSemantics::kExpectedValue:
-          return std::string(
-              "ByTupleExpValSUM = by-table expected value (Theorem 4), "
-              "O(n*m)");
-      }
-      break;
-    case AggregateFunction::kAvg:
-      if (aggregate_semantics == AggregateSemantics::kRange) {
-        return options_.avg_range_paper
-                   ? std::string("ByTupleRangeAVG (paper formula), O(n*m)")
-                   : std::string(
-                         "ByTupleRangeAVG (tight variant), O(n*m + n log n)");
-      }
-      return naive;
-    case AggregateFunction::kMin:
-    case AggregateFunction::kMax:
-      if (aggregate_semantics == AggregateSemantics::kRange) {
-        return std::string(query.func == AggregateFunction::kMin
-                               ? "ByTupleRangeMIN, O(n*m)"
-                               : "ByTupleRangeMAX, O(n*m)");
-      }
-      if (options_.minmax_distribution_exact) {
-        return std::string(
-            "exact extremum distribution via CDF factorisation "
-            "(extension beyond the paper), O(n*m log(n*m))");
-      }
-      return naive;
-  }
-  return Status::Internal("corrupt dispatch");
+  return std::string(
+      FindByTupleCell(query.func, aggregate_semantics, options_).explain);
 }
 
 Result<AggregateAnswer> Engine::AnswerSql(

@@ -7,11 +7,11 @@
 #include "aqua/common/exec_context.h"
 #include "aqua/core/answer.h"
 #include "aqua/core/naive.h"
+#include "aqua/core/row_span.h"
 #include "aqua/core/sampler.h"
 #include "aqua/exec/parallel.h"
 #include "aqua/mapping/p_mapping.h"
 #include "aqua/query/ast.h"
-#include "aqua/shard/supervisor.h"
 #include "aqua/storage/table.h"
 
 namespace aqua {
@@ -58,19 +58,15 @@ struct EngineOptions {
   int threads = 0;
 
   /// In-process fault domains for the ungrouped by-tuple pass. Values > 1
-  /// partition the tuple set into up to `shards` contiguous shards, run
-  /// each under its own child ExecContext via the shard supervisor
-  /// (hedged re-execution of stragglers, shard-local degradation to
-  /// sampling when `degrade` allows), and merge the partials with the
-  /// exact combination laws in core/merge.h. Only decomposable cells
-  /// shard (COUNT everything; SUM range/expected; MIN/MAX
-  /// distribution/expected when `minmax_distribution_exact`); the rest
-  /// run unsharded. 1 = off.
+  /// partition the tuple set into up to `shards` contiguous row ranges,
+  /// run the cell's kernel over each as one chunk of an exec::ParallelFor
+  /// (each under its own child ExecContext, degrading to sampling on its
+  /// own when `degrade` allows), and merge the partials with the exact
+  /// combination laws in core/merge.h. Only cells with a merge law shard
+  /// (COUNT everything; SUM range/expected; MIN/MAX distribution/expected
+  /// when `minmax_distribution_exact`); the rest, and every grouped query,
+  /// run as one shard. 1 = off.
   int shards = 1;
-
-  /// Straggler hedging policy for the shard supervisor (only consulted
-  /// when `shards` > 1 and `threads` allows concurrency).
-  shard::HedgePolicy hedge;
 
   /// When false, semantics combinations with no PTIME algorithm (by-tuple
   /// distribution/expected value for SUM/AVG/MIN/MAX, per the paper's
@@ -181,27 +177,20 @@ class Engine {
       CancellationToken cancel = {}) const;
 
  private:
-  /// `policy` is the parallelism granted to the algorithm cells that
-  /// support it. Engine::Answer grants `options_.threads`; AnswerGrouped
-  /// passes the serial policy because the groups themselves are the
+  /// Runs the by-tuple cell for (query.func, semantics) over `rows` as a
+  /// plan of up to `shards` shards (core/shards.h); `shards` > 1 requires
+  /// `rows` to be the whole table. `policy` is the parallelism granted:
+  /// to the kernel itself on a 1-shard plan, to the shards otherwise.
+  /// Engine::Answer grants `options_.threads`; AnswerGrouped passes the
+  /// serial policy and one shard because the groups themselves are the
   /// parallel axis there.
   Result<AggregateAnswer> AnswerByTuple(const AggregateQuery& query,
                                         const PMapping& pmapping,
                                         const Table& source,
                                         AggregateSemantics semantics,
-                                        const std::vector<uint32_t>* rows,
-                                        ExecContext* ctx,
-                                        const exec::ExecPolicy& policy) const;
-
-  /// Sharded variant of the exact by-tuple pass: partitions the rows
-  /// into `options_.shards` fault domains, runs the cell's algorithm
-  /// shard-local under the shard supervisor, and merges the partials.
-  /// Only called for cells the shardability matrix approves (see
-  /// EngineOptions::shards).
-  Result<AggregateAnswer> AnswerByTupleSharded(
-      const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, AggregateSemantics semantics,
-      ExecContext* ctx) const;
+                                        RowSpan rows, ExecContext* ctx,
+                                        const exec::ExecPolicy& policy,
+                                        int shards) const;
 
   /// Re-answers an ungrouped by-tuple query with the Monte-Carlo sampler
   /// after the exact pass failed with `exact_failure` (a budget error),

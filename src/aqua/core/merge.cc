@@ -34,7 +34,7 @@ NormalApproximation MergeMoments(
 }
 
 Result<Distribution> MergeCountDistributions(
-    const std::vector<ShardPartial>& parts) {
+    const std::vector<ShardPartial>& parts, ExecContext* ctx) {
   // Dense DP vector indexed by count, folded one shard at a time in shard
   // order. Starting from the point mass at zero makes an all-empty input
   // merge to COUNT = 0 with probability 1, matching the serial DP on an
@@ -53,6 +53,9 @@ Result<Distribution> MergeCountDistributions(
             std::to_string(e.outcome));
       }
       max_count = std::max(max_count, c);
+    }
+    if (s > 0) {
+      AQUA_RETURN_NOT_OK(ExecCharge(ctx, acc.size() * dist.entries().size()));
     }
     std::vector<double> next(acc.size() + static_cast<size_t>(max_count),
                              0.0);
@@ -75,7 +78,7 @@ Result<Distribution> MergeCountDistributions(
 }
 
 Result<NaiveAnswer> MergeExtremeDistributions(
-    const std::vector<ShardPartial>& parts, bool is_max) {
+    const std::vector<ShardPartial>& parts, bool is_max, ExecContext* ctx) {
   const size_t num_shards = parts.size();
 
   // Union grid of outcomes, swept ascending for MAX (CDF product) and
@@ -89,6 +92,9 @@ Result<NaiveAnswer> MergeExtremeDistributions(
   std::sort(grid.begin(), grid.end());
   grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
   if (!is_max) std::reverse(grid.begin(), grid.end());
+  if (num_shards > 1) {
+    AQUA_RETURN_NOT_OK(ExecCharge(ctx, grid.size() * (num_shards - 1)));
+  }
 
   // Per-shard running mass g[s] = Pr(shard extremum undefined or already
   // passed on the sweep), seeded with the shard's undefined mass. The

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "aqua/common/exec_context.h"
 #include "aqua/common/interval.h"
 #include "aqua/common/result.h"
 #include "aqua/core/clt.h"
@@ -65,9 +66,10 @@ NormalApproximation MergeMoments(const std::vector<NormalApproximation>& parts);
 /// shard with an empty distribution is the convolution identity (its
 /// count is deterministically absent, contributed by no rows). The dense
 /// fold mirrors the serial DP's accumulation order so the result is
-/// byte-identical to running `ByTuplePDCOUNT` over the union.
+/// byte-identical to running `ByTuplePDCOUNT` over the union. Each fold
+/// after the first partial charges its inner-loop iterations to `ctx`.
 Result<Distribution> MergeCountDistributions(
-    const std::vector<ShardPartial>& parts);
+    const std::vector<ShardPartial>& parts, ExecContext* ctx = nullptr);
 
 /// Pointwise CDF product for MIN/MAX. With `is_max` the per-shard CDF
 /// G_s(x) = undefined_s + sum of p_s(o) over o <= x is swept over the
@@ -76,9 +78,11 @@ Result<Distribution> MergeCountDistributions(
 /// product's successive differences are the atoms of the combined
 /// extremum; the all-shards-undefined constant cancels in every atom and
 /// survives only as the combined `undefined_mass` (the product of the
-/// per-shard masses).
+/// per-shard masses). Charges one step per grid point and partial beyond
+/// the first to `ctx`.
 Result<NaiveAnswer> MergeExtremeDistributions(
-    const std::vector<ShardPartial>& parts, bool is_max);
+    const std::vector<ShardPartial>& parts, bool is_max,
+    ExecContext* ctx = nullptr);
 
 }  // namespace aqua::merge
 

@@ -16,7 +16,7 @@ using by_tuple_internal::TupleMappingGrid;
 Result<TupleMappingGrid> BuildGrid(const AggregateQuery& query,
                                    const PMapping& pmapping,
                                    const Table& source,
-                                   const std::vector<uint32_t>* rows) {
+                                   RowSpan rows) {
   if (query.distinct && query.func != AggregateFunction::kMin &&
       query.func != AggregateFunction::kMax) {
     return Status::Unimplemented(
@@ -46,7 +46,7 @@ Result<NaiveAnswer> NaiveByTuple::Dist(const AggregateQuery& query,
                                        const PMapping& pmapping,
                                        const Table& source,
                                        const NaiveOptions& options,
-                                       const std::vector<uint32_t>* rows,
+                                       RowSpan rows,
                                        ExecContext* ctx) {
   obs::TraceSpan span("NaiveByTuple::Dist");
   AQUA_ASSIGN_OR_RETURN(TupleMappingGrid grid,
@@ -147,7 +147,7 @@ Result<double> NaiveByTuple::Expected(const AggregateQuery& query,
                                       const PMapping& pmapping,
                                       const Table& source,
                                       const NaiveOptions& options,
-                                      const std::vector<uint32_t>* rows,
+                                      RowSpan rows,
                                       ExecContext* ctx) {
   obs::TraceSpan span("NaiveByTuple::Expected");
   AQUA_ASSIGN_OR_RETURN(NaiveAnswer answer,
@@ -165,7 +165,7 @@ Result<Interval> NaiveByTuple::Range(const AggregateQuery& query,
                                      const PMapping& pmapping,
                                      const Table& source,
                                      const NaiveOptions& options,
-                                     const std::vector<uint32_t>* rows,
+                                     RowSpan rows,
                                      ExecContext* ctx) {
   obs::TraceSpan span("NaiveByTuple::Range");
   AQUA_ASSIGN_OR_RETURN(NaiveAnswer answer,

@@ -6,6 +6,7 @@
 
 #include "aqua/common/exec_context.h"
 #include "aqua/common/interval.h"
+#include "aqua/core/row_span.h"
 #include "aqua/mapping/p_mapping.h"
 #include "aqua/prob/distribution.h"
 #include "aqua/query/ast.h"
@@ -48,7 +49,7 @@ class NaiveByTuple {
                                   const PMapping& pmapping,
                                   const Table& source,
                                   const NaiveOptions& options = {},
-                                  const std::vector<uint32_t>* rows = nullptr,
+                                  RowSpan rows = {},
                                   ExecContext* ctx = nullptr);
 
   /// Expected value; fails if any sequence leaves the aggregate undefined
@@ -57,14 +58,14 @@ class NaiveByTuple {
                                  const PMapping& pmapping,
                                  const Table& source,
                                  const NaiveOptions& options = {},
-                                 const std::vector<uint32_t>* rows = nullptr,
+                                 RowSpan rows = {},
                                  ExecContext* ctx = nullptr);
 
   /// Range over defined outcomes.
   static Result<Interval> Range(const AggregateQuery& query,
                                 const PMapping& pmapping, const Table& source,
                                 const NaiveOptions& options = {},
-                                const std::vector<uint32_t>* rows = nullptr,
+                                RowSpan rows = {},
                                 ExecContext* ctx = nullptr);
 };
 

@@ -6,9 +6,7 @@
 
 #include "aqua/common/check.h"
 #include "aqua/core/by_tuple_common.h"
-#include "aqua/core/by_tuple_count.h"
-#include "aqua/core/by_tuple_minmax.h"
-#include "aqua/core/by_tuple_sum.h"
+#include "aqua/core/cells.h"
 #include "aqua/obs/trace.h"
 #include "aqua/query/executor.h"
 
@@ -42,30 +40,6 @@ Result<std::vector<std::vector<uint32_t>>> PartitionByGroup(
   return groups;
 }
 
-/// Inner by-tuple range dispatch over one group's rows. The inner query is
-/// passed with its GROUP BY stripped, since grouping is realised by the
-/// row subset.
-Result<Interval> InnerRange(const AggregateQuery& grouped_inner,
-                            const PMapping& pmapping, const Table& source,
-                            const std::vector<uint32_t>* rows,
-                            ExecContext* ctx) {
-  AggregateQuery inner = grouped_inner;
-  inner.group_by.clear();
-  switch (inner.func) {
-    case AggregateFunction::kCount:
-      return ByTupleCount::Range(inner, pmapping, source, rows, ctx);
-    case AggregateFunction::kSum:
-      return ByTupleSum::RangeSum(inner, pmapping, source, rows, ctx);
-    case AggregateFunction::kAvg:
-      return ByTupleSum::RangeAvgExact(inner, pmapping, source, rows, ctx);
-    case AggregateFunction::kMin:
-      return ByTupleMinMax::RangeMin(inner, pmapping, source, rows, ctx);
-    case AggregateFunction::kMax:
-      return ByTupleMinMax::RangeMax(inner, pmapping, source, rows, ctx);
-  }
-  return Status::Internal("corrupt aggregate function");
-}
-
 }  // namespace
 
 Result<Interval> NestedByTuple::Range(const NestedAggregateQuery& query,
@@ -81,6 +55,10 @@ Result<Interval> NestedByTuple::Range(const NestedAggregateQuery& query,
   inner.group_by.clear();
   AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
                         Reformulator::BindAll(inner, pmapping, source));
+  // The inner aggregate's by-tuple range cell, run once per group.
+  const EngineOptions options;
+  const ByTupleCell& range_cell =
+      FindByTupleCell(inner.func, AggregateSemantics::kRange, options);
   // One task per group; slot g stays empty when group g never qualifies
   // under any sequence. The parent's remaining budget is split across
   // groups proportionally to group size.
@@ -124,9 +102,11 @@ Result<Interval> NestedByTuple::Range(const NestedAggregateQuery& query,
               "exact PTIME method is implemented for this case");
         }
         AQUA_ASSIGN_OR_RETURN(
-            Interval inner_range,
-            InnerRange(query.inner, pmapping, source, &rows, child));
-        slots[g] = inner_range;
+            merge::ShardPartial inner_range,
+            range_cell.kernel(CellCall{inner, pmapping, source,
+                                       AggregateSemantics::kRange, options,
+                                       &rows, child, exec::ExecPolicy{}}));
+        slots[g] = inner_range.range;
         return Status::OK();
       },
       &weights));
@@ -168,9 +148,9 @@ Result<NaiveAnswer> NestedByTuple::NaiveDist(const NestedAggregateQuery& query,
         "naive nested enumeration does not support DISTINCT except for "
         "MIN/MAX");
   }
-  AQUA_ASSIGN_OR_RETURN(TupleMappingGrid grid,
-                        BuildTupleMappingGrid(inner, pmapping, source,
-                                              /*rows=*/nullptr));
+  AQUA_ASSIGN_OR_RETURN(
+      TupleMappingGrid grid,
+      BuildTupleMappingGrid(inner, pmapping, source, /*rows=*/{}));
   const size_t n = grid.n;
   const size_t m = grid.m;
   double log_sequences =

@@ -40,7 +40,7 @@ Result<SampledAnswer> ByTupleSampler::Sample(const AggregateQuery& query,
                                              const PMapping& pmapping,
                                              const Table& source,
                                              const SamplerOptions& options,
-                                             const std::vector<uint32_t>* rows,
+                                             RowSpan rows,
                                              ExecContext* ctx,
                                              const exec::ExecPolicy& policy) {
   obs::TraceSpan span("ByTupleSampler::Sample");

@@ -6,6 +6,7 @@
 
 #include "aqua/common/exec_context.h"
 #include "aqua/common/interval.h"
+#include "aqua/core/row_span.h"
 #include "aqua/exec/parallel.h"
 #include "aqua/mapping/p_mapping.h"
 #include "aqua/prob/distribution.h"
@@ -78,8 +79,7 @@ class ByTupleSampler {
                                       const PMapping& pmapping,
                                       const Table& source,
                                       const SamplerOptions& options = {},
-                                      const std::vector<uint32_t>* rows =
-                                          nullptr,
+                                      RowSpan rows = {},
                                       ExecContext* ctx = nullptr,
                                       const exec::ExecPolicy& policy = {});
 };

@@ -34,8 +34,7 @@ std::string QueryStats::ToString() const {
   }
   if (shards > 0) {
     out += " shards=" + std::to_string(shards) +
-           " degraded_shards=" + std::to_string(degraded_shards) +
-           " hedged_shards=" + std::to_string(hedged_shards);
+           " degraded_shards=" + std::to_string(degraded_shards);
   }
   if (samples > 0) {
     out += " samples=" + std::to_string(samples) +
@@ -64,7 +63,6 @@ std::string QueryStats::ToJson() const {
   out += ',' + obs::JsonString("degrade_reason", degrade_reason);
   out += ",\"shards\":" + std::to_string(shards);
   out += ",\"degraded_shards\":" + std::to_string(degraded_shards);
-  out += ",\"hedged_shards\":" + std::to_string(hedged_shards);
   out += '}';
   return out;
 }

@@ -61,11 +61,10 @@ struct QueryStats {
   std::string degrade_reason;
 
   /// Fault-domain sharding facts: how many shards the by-tuple pass ran
-  /// across (zero = unsharded), how many of them degraded locally to
-  /// sampling, and how many had a hedged duplicate attempt issued.
+  /// across (zero = unsharded) and how many of them degraded locally to
+  /// sampling.
   uint64_t shards = 0;
   uint64_t degraded_shards = 0;
-  uint64_t hedged_shards = 0;
 
   /// One-line human rendering, e.g.
   /// `algorithm="ByTuplePDCOUNT, O(m*n + n^2)" wall=1.2ms steps=532 ...`.

@@ -168,7 +168,7 @@ TEST(QueryStatsTest, ToJsonIsSchemaStable) {
             "\"limit_timeout_ms\":0,\"limit_steps\":0,\"limit_bytes\":0,"
             "\"samples\":0,\"sampler_seed\":0,"
             "\"degraded\":false,\"degrade_reason\":\"\","
-            "\"shards\":0,\"degraded_shards\":0,\"hedged_shards\":0}");
+            "\"shards\":0,\"degraded_shards\":0}");
 }
 
 TEST(QueryStatsTest, EffectiveLimitsAppearWhenSet) {
@@ -223,11 +223,9 @@ TEST(QueryStatsTest, ToStringMentionsShardsOnlyWhenSharded) {
   EXPECT_EQ(stats.ToString().find("shards="), std::string::npos);
   stats.shards = 4;
   stats.degraded_shards = 1;
-  stats.hedged_shards = 2;
   const std::string s = stats.ToString();
   EXPECT_NE(s.find("shards=4"), std::string::npos) << s;
   EXPECT_NE(s.find("degraded_shards=1"), std::string::npos) << s;
-  EXPECT_NE(s.find("hedged_shards=2"), std::string::npos) << s;
 }
 
 }  // namespace

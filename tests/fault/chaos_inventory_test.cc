@@ -39,10 +39,8 @@ const std::set<std::string> kExpectedSites = {
     "server/admission",
     "server/read-request",
     "server/write-response",
-    "shard/hedge",
     "shard/merge",
     "shard/run",
-    "shard/spawn",
     "storage/csv/parse",
     "storage/csv/read-file",
     "storage/csv/write-file",

@@ -1,14 +1,19 @@
 // The sharded execution contract at the engine level: `--shards` never
-// changes an answer. Fault-free, every shardable cell must produce a
-// byte-identical answer at 1, 2, 4, and 8 shards — on the serial
-// supervisor path (threads=1) and the concurrent one (threads>1) alike —
-// because shard planning is a pure function of the row count and every
-// merge operator is the exact combination law for its answer shape.
+// changes an answer. Fault-free, every by-tuple cell of the Figure 6 table
+// must produce a byte-identical answer (or the identical error) at 1, 2,
+// 4, and 8 shards, on the serial path (threads=1) and the concurrent one
+// (threads=2) alike, because shard planning is a pure function of the row
+// count and every merge operator is the exact combination law for its
+// answer shape. Cells without a merge law must not shard at all.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
+#include <vector>
 
+#include "aqua/core/cells.h"
 #include "aqua/core/engine.h"
 #include "aqua/query/parser.h"
 #include "aqua/workload/ebay.h"
@@ -16,6 +21,42 @@
 
 namespace aqua {
 namespace {
+
+Result<AggregateAnswer> AnswerAt(const std::string& sql, const Table& table,
+                                 const PMapping& pmapping,
+                                 EngineOptions options, int shards,
+                                 int threads, AggregateSemantics semantics) {
+  options.shards = shards;
+  options.threads = threads;
+  return Engine(options).AnswerSql(sql, pmapping, table,
+                                   MappingSemantics::kByTuple, semantics);
+}
+
+std::string Rendered(const Result<AggregateAnswer>& answer) {
+  return answer.ok() ? answer->ToString() : answer.status().ToString();
+}
+
+/// One engine-flag setting per alternative row of the cell table: the
+/// defaults, each flag flipped, and the open cells without naive
+/// enumeration.
+std::vector<std::pair<std::string, EngineOptions>> FlagSettings() {
+  std::vector<std::pair<std::string, EngineOptions>> out;
+  out.emplace_back("defaults", EngineOptions{});
+  EngineOptions via_dist;
+  via_dist.count_expected_via_distribution = true;
+  out.emplace_back("count_expected_via_distribution", via_dist);
+  EngineOptions avg_paper;
+  avg_paper.avg_range_paper = true;
+  out.emplace_back("avg_range_paper", avg_paper);
+  EngineOptions naive_extremum;
+  naive_extremum.minmax_distribution_exact = false;
+  out.emplace_back("minmax_distribution_exact=false", naive_extremum);
+  EngineOptions no_naive;
+  no_naive.allow_naive = false;
+  no_naive.minmax_distribution_exact = false;
+  out.emplace_back("allow_naive=false", no_naive);
+  return out;
+}
 
 class ShardEquivalenceTest : public ::testing::Test {
  protected:
@@ -27,56 +68,56 @@ class ShardEquivalenceTest : public ::testing::Test {
   Result<AggregateAnswer> AnswerAt(const std::string& sql, int shards,
                                    int threads,
                                    AggregateSemantics semantics) const {
-    EngineOptions opts;
-    opts.shards = shards;
-    opts.threads = threads;
-    const Engine engine(opts);
-    return engine.AnswerSql(sql, pm2_, ds2_, MappingSemantics::kByTuple,
-                            semantics);
-  }
-
-  /// Asserts byte-identical answers across the full shard sweep, on both
-  /// supervisor paths.
-  void ExpectShardInvariant(const std::string& sql,
-                            AggregateSemantics semantics) const {
-    const auto serial = AnswerAt(sql, 1, 1, semantics);
-    ASSERT_TRUE(serial.ok()) << sql << ": " << serial.status().ToString();
-    EXPECT_FALSE(serial->approximate);
-    for (const int threads : {1, 2}) {
-      for (const int shards : {2, 4, 8}) {
-        const auto sharded = AnswerAt(sql, shards, threads, semantics);
-        ASSERT_TRUE(sharded.ok())
-            << sql << " shards=" << shards << " threads=" << threads << ": "
-            << sharded.status().ToString();
-        EXPECT_FALSE(sharded->approximate);
-        EXPECT_EQ(sharded->ToString(), serial->ToString())
-            << sql << " shards=" << shards << " threads=" << threads;
-      }
-    }
+    return aqua::AnswerAt(sql, ds2_, pm2_, EngineOptions{}, shards, threads,
+                          semantics);
   }
 
   Table ds2_;
   PMapping pm2_;
 };
 
-TEST_F(ShardEquivalenceTest, CountAllThreeSemantics) {
-  const std::string sql = "SELECT COUNT(*) FROM T2 WHERE price > 300";
-  ExpectShardInvariant(sql, AggregateSemantics::kDistribution);
-  ExpectShardInvariant(sql, AggregateSemantics::kRange);
-  ExpectShardInvariant(sql, AggregateSemantics::kExpectedValue);
-}
-
-TEST_F(ShardEquivalenceTest, SumRangeAndExpected) {
-  const std::string sql = "SELECT SUM(price) FROM T2";
-  ExpectShardInvariant(sql, AggregateSemantics::kRange);
-  ExpectShardInvariant(sql, AggregateSemantics::kExpectedValue);
-}
-
-TEST_F(ShardEquivalenceTest, MinMaxDistributionAndExpected) {
-  for (const char* sql :
-       {"SELECT MIN(price) FROM T2", "SELECT MAX(price) FROM T2"}) {
-    ExpectShardInvariant(sql, AggregateSemantics::kDistribution);
-    ExpectShardInvariant(sql, AggregateSemantics::kExpectedValue);
+TEST_F(ShardEquivalenceTest, EveryCellIsShardInvariant) {
+  const AggregateFunction funcs[] = {
+      AggregateFunction::kCount, AggregateFunction::kSum,
+      AggregateFunction::kAvg, AggregateFunction::kMin,
+      AggregateFunction::kMax};
+  const char* const sqls[] = {
+      "SELECT COUNT(*) FROM T2 WHERE price > 300", "SELECT SUM(price) FROM T2",
+      "SELECT AVG(price) FROM T2", "SELECT MIN(price) FROM T2",
+      "SELECT MAX(price) FROM T2"};
+  const AggregateSemantics semantics_list[] = {
+      AggregateSemantics::kRange, AggregateSemantics::kDistribution,
+      AggregateSemantics::kExpectedValue};
+  for (const auto& [label, options] : FlagSettings()) {
+    for (size_t f = 0; f < 5; ++f) {
+      for (const AggregateSemantics semantics : semantics_list) {
+        const bool shards_cell =
+            FindByTupleCell(funcs[f], semantics, options).merge != nullptr;
+        const std::string where = std::string(sqls[f]) + " [" + label + ", " +
+                                  std::string(AggregateSemanticsToString(
+                                      semantics)) +
+                                  "]";
+        const auto serial =
+            aqua::AnswerAt(sqls[f], ds2_, pm2_, options, 1, 1, semantics);
+        if (serial.ok()) {
+          EXPECT_FALSE(serial->approximate) << where;
+          EXPECT_EQ(serial->stats.shards, 0u) << where;
+        }
+        for (const int threads : {1, 2}) {
+          for (const int shards : {1, 2, 4, 8}) {
+            const auto sharded = aqua::AnswerAt(sqls[f], ds2_, pm2_, options,
+                                                shards, threads, semantics);
+            EXPECT_EQ(Rendered(sharded), Rendered(serial))
+                << where << " shards=" << shards << " threads=" << threads;
+            if (!sharded.ok()) continue;
+            EXPECT_EQ(sharded->stats.shards,
+                      shards_cell && shards > 1 ? static_cast<uint64_t>(shards)
+                                                : 0u)
+                << where << " shards=" << shards << " threads=" << threads;
+          }
+        }
+      }
+    }
   }
 }
 
@@ -87,25 +128,11 @@ TEST_F(ShardEquivalenceTest, ShardedRunReportsEffectiveShardCount) {
   // DS2 has more than four rows, so all four fault domains engage.
   EXPECT_EQ(sharded->stats.shards, 4u);
   EXPECT_EQ(sharded->stats.degraded_shards, 0u);
-  EXPECT_EQ(sharded->stats.hedged_shards, 0u);
 
   const auto serial =
       AnswerAt("SELECT COUNT(*) FROM T2", 1, 1, AggregateSemantics::kRange);
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(serial->stats.shards, 0u);  // unsharded runs do not claim shards
-}
-
-TEST_F(ShardEquivalenceTest, NonShardableCellFallsBackToSerialUnchanged) {
-  // AVG does not decompose over tuple subsets, so the shardability matrix
-  // keeps it on the unsharded path; asking for shards must be a no-op.
-  const auto serial = AnswerAt("SELECT AVG(price) FROM T2", 1, 1,
-                               AggregateSemantics::kRange);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  const auto sharded = AnswerAt("SELECT AVG(price) FROM T2", 4, 2,
-                                AggregateSemantics::kRange);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_EQ(sharded->ToString(), serial->ToString());
-  EXPECT_EQ(sharded->stats.shards, 0u);
 }
 
 TEST_F(ShardEquivalenceTest, ShardsBeyondRowCountClampToRows) {
@@ -158,6 +185,44 @@ TEST(ShardEquivalenceSyntheticTest, CountDistributionOnLargerWorkload) {
                                                    serial->distribution),
               1e-12)
         << "shards=" << shards;
+  }
+}
+
+TEST(ShardEquivalenceEbayTest, ExtremaOnTwentyThousandAuctions) {
+  // About 180k bids: enough tuples that a running product of per-tuple
+  // CDF factors underflows a double, which once emptied the unsharded
+  // MIN/MAX distributions. Every shard count must return a full unit of
+  // mass, agree to rounding, and have a defined expectation.
+  EbayOptions wopts;
+  wopts.num_auctions = 20000;
+  Rng rng(wopts.seed);
+  const Table table = *GenerateEbayTable(wopts, rng);
+  const PMapping pm = *MakeEbayPMapping();
+  for (const char* sql :
+       {"SELECT MIN(price) FROM T2", "SELECT MAX(price) FROM T2"}) {
+    const auto serial = AnswerAt(sql, table, pm, EngineOptions{}, 1, 1,
+                                 AggregateSemantics::kDistribution);
+    ASSERT_TRUE(serial.ok()) << sql << ": " << serial.status().ToString();
+    for (const int threads : {1, 2}) {
+      for (const int shards : {1, 2, 4, 8}) {
+        const auto dist = AnswerAt(sql, table, pm, EngineOptions{}, shards,
+                                   threads, AggregateSemantics::kDistribution);
+        ASSERT_TRUE(dist.ok()) << sql << " shards=" << shards << ": "
+                               << dist.status().ToString();
+        EXPECT_NEAR(dist->distribution.TotalMass(), 1.0, 1e-9)
+            << sql << " shards=" << shards << " threads=" << threads;
+        EXPECT_LE(Distribution::TotalVariationDistance(dist->distribution,
+                                                       serial->distribution),
+                  1e-12)
+            << sql << " shards=" << shards << " threads=" << threads;
+        const auto expected = AnswerAt(sql, table, pm, EngineOptions{},
+                                       shards, threads,
+                                       AggregateSemantics::kExpectedValue);
+        EXPECT_TRUE(expected.ok())
+            << sql << " shards=" << shards << ": "
+            << expected.status().ToString();
+      }
+    }
   }
 }
 

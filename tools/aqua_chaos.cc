@@ -10,8 +10,8 @@
 // baseline — (b) flagged approximate, or (c) a well-formed error Status.
 // It also demonstrates each degradation edge deterministically:
 // parallel-to-serial fallback, exact-to-sampler, I/O retry-then-succeed,
-// retry-exhausted, and the four sharded-execution edges (shard death,
-// torn shard partial, straggler + hedged re-issue, budget split-brain).
+// retry-exhausted, and the two sharded-execution edges (shard death and
+// torn shard partial).
 //
 //   aqua_chaos [--all] [--site=<name>] [--combos=<n>] [--seed=<n>]
 //              [--json=<path>] [--service] [--list] [--help]
@@ -130,12 +130,9 @@ EngineOptions WorkloadEngineOptions() {
   options.degrade = DegradePolicy::kSample;
   options.degrade_sampler.seed = kSamplerSeed;
   options.threads = 2;
-  // Two fault domains put the shard supervisor (and the shard/* failpoint
-  // sites) on every workload run's path. The hedge floor is far above the
-  // 8-tuple workload's per-shard latency, so no hedge ever fires
-  // fault-free — hedging only appears when a straggler is injected.
+  // Two fault domains put the shard runner (and the shard/* failpoint
+  // sites) on every shardable workload query's path.
   options.shards = 2;
-  options.hedge.min_wait_ms = 50;
   return options;
 }
 
@@ -440,8 +437,8 @@ std::vector<std::string> SpecsFor(const fault::SiteInfo& site) {
     specs.push_back("error(resource-exhausted)");
   }
   if (name == "shard/run") {
-    // Torn shard partial: the attempt scans only half its rows; the
-    // supervisor's coverage check must catch it (degrade or clean error,
+    // Torn shard partial: the shard scans only half its rows; the
+    // runner's coverage check must catch it (degrade or clean error,
     // never a silently short answer).
     specs.push_back("once*partial");
   }
@@ -455,12 +452,6 @@ std::vector<std::pair<std::string, std::string>> CompanionsFor(
     std::string_view site) {
   if (site == "core/engine/degrade" || site == "core/sampler/run") {
     return {{"core/engine/exact", "error(resource-exhausted)"}};
-  }
-  if (site == "shard/hedge") {
-    // The hedge submission point only executes once a shard straggles;
-    // a one-shot delay on the first shard attempt manufactures the
-    // straggler (400ms >> the 50ms hedge floor).
-    return {{"shard/run", "once*delay(400)"}};
   }
   return {};
 }
@@ -578,8 +569,8 @@ std::vector<Outcome> RunEdgeDemos(const Fixture& fixture,
   // distribution query across the two workload fault domains.
   constexpr const char* kShardSql = "SELECT COUNT(*) FROM T2 WHERE price > 300";
 
-  // Edge 5: shard death. A persistent failure kills every primary shard
-  // attempt; each shard degrades locally to Monte-Carlo sampling and the
+  // Edge 5: shard death. A persistent failure kills every shard's exact
+  // pass; each shard degrades locally to Monte-Carlo sampling and the
   // merged answer is flagged approximate, carrying the degraded-shard
   // count — the query itself never fails.
   {
@@ -605,9 +596,9 @@ std::vector<Outcome> RunEdgeDemos(const Fixture& fixture,
     record("shard-death", pass, std::move(detail));
   }
 
-  // Edge 6: torn shard partial. One shard attempt scans only a prefix of
-  // its rows; the supervisor's coverage check must catch the short partial
-  // and either degrade the shard or fail cleanly — never merge it into a
+  // Edge 6: torn shard partial. One shard scans only a prefix of its
+  // rows; the runner's coverage check must catch the short partial and
+  // either degrade the shard or fail cleanly — never merge it into a
   // silently wrong answer.
   {
     fault::DisableAll();
@@ -633,96 +624,6 @@ std::vector<Outcome> RunEdgeDemos(const Fixture& fixture,
     record("shard-torn-partial", pass, std::move(detail));
   }
 
-  // Edge 7: straggler storm. A one-shot 400ms delay on one shard's first
-  // attempt forces the supervisor to hedge a duplicate; the hedge's result
-  // wins, the answer is byte-identical to the fault-free run, and the wall
-  // time stays within the acceptance bound (2x fault-free, floored at
-  // 500ms so the bound is meaningful at microsecond baselines).
-  {
-    fault::DisableAll();
-    const auto table = Csv::ReadFile(fixture.csv_path, fixture.schema);
-    const auto mapping = PMappingText::ReadSchemaFile(fixture.mapping_path);
-    bool pass = false;
-    std::string detail = "fixture load failed";
-    if (table.ok() && mapping.ok()) {
-      const Engine engine(WorkloadEngineOptions());
-      const auto run = [&]() {
-        return engine.AnswerSql(kShardSql, mapping->mapping(0), *table,
-                                MappingSemantics::kByTuple,
-                                AggregateSemantics::kDistribution);
-      };
-      const auto clean_start = std::chrono::steady_clock::now();
-      const auto clean = run();
-      const int64_t clean_us =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - clean_start)
-              .count();
-      fault::ScopedFailpoint fp("shard/run", "once*delay(400)");
-      const auto hedged_start = std::chrono::steady_clock::now();
-      const auto hedged = run();
-      const int64_t hedged_us =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - hedged_start)
-              .count();
-      const int64_t bound_us = std::max<int64_t>(2 * clean_us, 500000);
-      pass = clean.ok() && hedged.ok() &&
-             clean->ToString() == hedged->ToString() &&
-             hedged->stats.hedged_shards >= 1 && hedged_us <= bound_us;
-      detail = (clean.ok() && hedged.ok())
-                   ? "identical=" +
-                         std::string(clean->ToString() == hedged->ToString()
-                                         ? "true"
-                                         : "false") +
-                         " hedged_shards=" +
-                         std::to_string(hedged->stats.hedged_shards) +
-                         " wall=" + std::to_string(hedged_us) + "us bound=" +
-                         std::to_string(bound_us) + "us"
-                   : (clean.ok() ? hedged.status() : clean.status())
-                         .ToString();
-    }
-    record("shard-straggler", pass, std::move(detail));
-  }
-
-  // Edge 8: budget split-brain. A governed query with a forced hedge must
-  // charge the parent budget exactly once per shard (the winner's charges;
-  // the superseded loser's are discarded as waste) — the supervisor's
-  // absorb-once AQUA_CHECK aborts the process if both attempts ever
-  // charge. Two identical runs must agree on the answer and on every
-  // charged step, which is only possible when exactly one attempt per
-  // shard is absorbed.
-  {
-    fault::DisableAll();
-    const auto table = Csv::ReadFile(fixture.csv_path, fixture.schema);
-    const auto mapping = PMappingText::ReadSchemaFile(fixture.mapping_path);
-    bool pass = false;
-    std::string detail = "fixture load failed";
-    if (table.ok() && mapping.ok()) {
-      EngineOptions governed = WorkloadEngineOptions();
-      governed.limits.max_steps = 1 << 20;
-      const Engine engine(governed);
-      const auto run_once = [&]() {
-        fault::ScopedFailpoint fp("shard/run", "once*delay(400)");
-        return engine.AnswerSql(kShardSql, mapping->mapping(0), *table,
-                                MappingSemantics::kByTuple,
-                                AggregateSemantics::kDistribution);
-      };
-      const auto first = run_once();
-      const auto second = run_once();
-      pass = first.ok() && second.ok() && !first->approximate &&
-             first->ToString() == second->ToString() &&
-             first->stats.steps == second->stats.steps &&
-             first->stats.steps > 0;
-      detail = (first.ok() && second.ok())
-                   ? "steps=" + std::to_string(first->stats.steps) + "/" +
-                         std::to_string(second->stats.steps) +
-                         " hedged_shards=" +
-                         std::to_string(first->stats.hedged_shards) + "/" +
-                         std::to_string(second->stats.hedged_shards)
-                   : (first.ok() ? second.status() : first.status())
-                         .ToString();
-    }
-    record("shard-budget-split-brain", pass, std::move(detail));
-  }
   fault::DisableAll();
   return edges;
 }
