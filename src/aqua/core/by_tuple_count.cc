@@ -4,13 +4,11 @@
 #include <cmath>
 
 #include "aqua/common/check.h"
-#include "aqua/core/by_tuple_common.h"
+#include "aqua/core/tuple_scan.h"
 #include "aqua/obs/trace.h"
 
 namespace aqua {
 namespace {
-
-using by_tuple_internal::TupleSatisfies;
 
 /// Tuples folded per wavefront block of the COUNT distribution DP, and
 /// cells per chunk within a block. Both are fixed constants — the
@@ -81,19 +79,6 @@ Status CountDpChunk(const std::vector<double>& occs, size_t first_tuple,
   return Status::OK();
 }
 
-Result<std::vector<Reformulator::MappingBinding>> BindCountQuery(
-    const AggregateQuery& query, const PMapping& pmapping,
-    const Table& source) {
-  if (query.func != AggregateFunction::kCount) {
-    return Status::InvalidArgument("ByTupleCount requires a COUNT query");
-  }
-  if (query.distinct) {
-    return Status::Unimplemented(
-        "COUNT(DISTINCT) has no PTIME by-tuple algorithm");
-  }
-  return Reformulator::BindAll(query, pmapping, source);
-}
-
 }  // namespace
 
 Result<Interval> ByTupleCount::Range(const AggregateQuery& query,
@@ -102,30 +87,17 @@ Result<Interval> ByTupleCount::Range(const AggregateQuery& query,
                                      RowSpan rows,
                                      ExecContext* ctx) {
   obs::TraceSpan span("ByTupleCount::Range");
-  AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
-                        BindCountQuery(query, pmapping, source));
-  // O(n*m) single pass: charge the whole scan up front (exact for the step
-  // budget, one clock read for the deadline).
-  AQUA_RETURN_NOT_OK(
-      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
-  AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
+  AQUA_ASSIGN_OR_RETURN(
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kCount, pmapping, source));
   // Paper Figure 2: low counts tuples satisfying under all mappings, up
   // counts tuples satisfying under at least one.
   int64_t low = 0;
   int64_t up = 0;
-  rows.ForEach(source.num_rows(), [&](size_t r) {
-    bool all = true;
-    bool any = false;
-    for (const auto& b : bindings) {
-      if (TupleSatisfies(b, source, r)) {
-        any = true;
-      } else {
-        all = false;
-      }
-    }
-    if (all) ++low;
-    if (any) ++up;
-  });
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+    if (t.all()) ++low;
+    if (t.any()) ++up;
+  }));
   return Interval{static_cast<double>(low), static_cast<double>(up)};
 }
 
@@ -137,14 +109,14 @@ Result<Distribution> ByTupleCount::Dist(const AggregateQuery& query,
                                         const exec::ExecPolicy& policy) {
   obs::TraceSpan span("ByTupleCount::Dist");
   if (ParanoidChecksEnabled()) pmapping.CheckInvariants();
-  AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
-                        BindCountQuery(query, pmapping, source));
+  AQUA_ASSIGN_OR_RETURN(
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kCount, pmapping, source));
   // Paper Figure 3: pd[c] = Pr(count over processed tuples == c).
   // Processing tuple i folds in occProb_i, the total probability of the
   // mappings under which tuple i satisfies the condition:
   //   pd[c] <- pd[c] * (1 - occ) + pd[c-1] * occ.
   const size_t n = rows.size(source.num_rows());
-  const size_t m = bindings.size();
 
   // Phase 1: per-tuple occurrence probabilities — an embarrassingly
   // parallel O(n*m) scan.
@@ -153,16 +125,9 @@ Result<Distribution> ByTupleCount::Dist(const AggregateQuery& query,
   AQUA_RETURN_NOT_OK(exec::ParallelFor(
       policy, n, kOccChunkRows, ctx,
       [&](const exec::Chunk& chunk, ExecContext* child) -> Status {
-        AQUA_RETURN_NOT_OK(ExecCharge(child, chunk.size() * m));
-        for (size_t i = chunk.begin; i < chunk.end; ++i) {
-          const size_t r = rows.row(i);
-          double occ = 0.0;
-          for (const auto& b : bindings) {
-            if (TupleSatisfies(b, source, r)) occ += b.probability;
-          }
-          occs[i] = occ;
-        }
-        return Status::OK();
+        size_t i = chunk.begin;
+        return scan.Run(rows.Sub(chunk.begin, chunk.end), child,
+                        [&](const TupleView& t) { occs[i++] = t.occ(); });
       }));
   // occProb_i sums candidate probabilities, so a corrupt p-mapping (mass
   // over 1, negative entries) surfaces here as an out-of-range occurrence
@@ -215,18 +180,16 @@ Result<double> ByTupleCount::Expected(const AggregateQuery& query,
                                       RowSpan rows,
                                       ExecContext* ctx) {
   obs::TraceSpan span("ByTupleCount::Expected");
-  AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
-                        BindCountQuery(query, pmapping, source));
-  AQUA_RETURN_NOT_OK(
-      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
-  AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
+  AQUA_ASSIGN_OR_RETURN(
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kCount, pmapping, source));
   // Linearity of expectation: E[COUNT] = sum_i Pr(tuple i satisfies C).
   double expected = 0.0;
-  rows.ForEach(source.num_rows(), [&](size_t r) {
-    for (const auto& b : bindings) {
-      if (TupleSatisfies(b, source, r)) expected += b.probability;
-    }
-  });
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+    // prob * sat adds exactly prob or +0.0, so the total keeps the bits of
+    // a sum over the satisfying mappings, without a data-dependent branch.
+    for (size_t j = 0; j < t.m; ++j) expected += t.prob[j] * t.sat[j];
+  }));
   return expected;
 }
 

@@ -6,13 +6,11 @@
 #include <limits>
 
 #include "aqua/common/check.h"
-#include "aqua/core/by_tuple_common.h"
+#include "aqua/core/tuple_scan.h"
 #include "aqua/obs/trace.h"
 
 namespace aqua {
 namespace {
-
-using by_tuple_internal::TupleSatisfies;
 
 struct Extremes {
   bool has_any = false;        // some tuple can satisfy
@@ -25,53 +23,26 @@ struct Extremes {
   double mand_min_of_vmax = std::numeric_limits<double>::infinity();
 };
 
-Result<Extremes> Collect(const AggregateQuery& query,
-                         const PMapping& pmapping, const Table& source,
-                         RowSpan rows,
-                         AggregateFunction expected, ExecContext* ctx) {
-  if (query.func != expected) {
-    return Status::InvalidArgument(
-        std::string("expected a ") +
-        std::string(AggregateFunctionToString(expected)) + " query, got " +
-        std::string(AggregateFunctionToString(query.func)));
-  }
-  AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
-                        Reformulator::BindAll(query, pmapping, source));
-  AQUA_RETURN_NOT_OK(
-      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
-  AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
+/// Folds the per-tuple extreme values of `rows` into `Extremes`.
+Result<Extremes> Collect(const TupleScan& scan, RowSpan rows,
+                         AggregateFunction func, ExecContext* ctx) {
   Extremes e;
-  rows.ForEach(source.num_rows(), [&](size_t r) {
-    bool any = false;
-    bool all = true;
-    double vmin = 0.0, vmax = 0.0;
-    for (const auto& b : bindings) {
-      if (!TupleSatisfies(b, source, r)) {
-        all = false;
-        continue;
-      }
-      const double v = b.attribute->NumericAt(r);
-      if (!any) {
-        vmin = vmax = v;
-        any = true;
-      } else {
-        vmin = std::min(vmin, v);
-        vmax = std::max(vmax, v);
-      }
-    }
-    if (!any) return;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+    if (!t.any()) return;
+    const double vmin = t.vmin();
+    const double vmax = t.vmax();
     e.has_any = true;
     e.any_min_of_vmin = std::min(e.any_min_of_vmin, vmin);
     e.any_max_of_vmax = std::max(e.any_max_of_vmax, vmax);
-    if (all) {
+    if (t.all()) {
       e.has_mandatory = true;
       e.mand_max_of_vmin = std::max(e.mand_max_of_vmin, vmin);
       e.mand_min_of_vmax = std::min(e.mand_min_of_vmax, vmax);
     }
-  });
+  }));
   if (!e.has_any) {
     return Status::InvalidArgument(
-        std::string(AggregateFunctionToString(expected)) +
+        std::string(AggregateFunctionToString(func)) +
         " is undefined: no tuple satisfies the condition under any mapping");
   }
   return e;
@@ -86,8 +57,10 @@ Result<Interval> ByTupleMinMax::RangeMax(const AggregateQuery& query,
                                          ExecContext* ctx) {
   obs::TraceSpan span("ByTupleMinMax::RangeMax");
   AQUA_ASSIGN_OR_RETURN(
-      Extremes e,
-      Collect(query, pmapping, source, rows, AggregateFunction::kMax, ctx));
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kMax, pmapping, source));
+  AQUA_ASSIGN_OR_RETURN(Extremes e,
+                        Collect(scan, rows, AggregateFunction::kMax, ctx));
   // Upper: include the tuple/mapping pair with the globally largest value.
   const double up = e.any_max_of_vmax;
   // Lower: mandatory tuples force the max up to the largest of their
@@ -105,8 +78,10 @@ Result<Interval> ByTupleMinMax::RangeMin(const AggregateQuery& query,
                                          ExecContext* ctx) {
   obs::TraceSpan span("ByTupleMinMax::RangeMin");
   AQUA_ASSIGN_OR_RETURN(
-      Extremes e,
-      Collect(query, pmapping, source, rows, AggregateFunction::kMin, ctx));
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kMin, pmapping, source));
+  AQUA_ASSIGN_OR_RETURN(Extremes e,
+                        Collect(scan, rows, AggregateFunction::kMin, ctx));
   const double low = e.any_min_of_vmin;
   const double up = e.has_mandatory ? e.mand_min_of_vmax : e.any_max_of_vmax;
   return Interval{low, up};
@@ -146,16 +121,10 @@ class ScaledProduct {
 Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
                                  const PMapping& pmapping, const Table& source,
                                  RowSpan rows,
-                                 AggregateFunction expected, bool toward_max,
+                                 AggregateFunction func, bool toward_max,
                                  ExecContext* ctx) {
-  if (query.func != expected) {
-    return Status::InvalidArgument(
-        std::string("expected a ") +
-        std::string(AggregateFunctionToString(expected)) + " query, got " +
-        std::string(AggregateFunctionToString(query.func)));
-  }
-  AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
-                        Reformulator::BindAll(query, pmapping, source));
+  AQUA_ASSIGN_OR_RETURN(TupleScan scan,
+                        TupleScan::Bind(query, func, pmapping, source));
 
   // Events: one per satisfying (tuple, mapping) pair. Sorted by value in
   // sweep order, applying an event moves probability mass Pr(m_j) of its
@@ -167,23 +136,20 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
   };
   std::vector<Event> events;
   std::vector<double> excluded;  // per-tuple Pr(contributes nothing)
-  uint32_t dense = 0;
-  rows.ForEach(source.num_rows(), [&](size_t r) {
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+    // A tuple that never contributes drops out of the product entirely.
+    if (!t.any()) return;
+    const auto i = static_cast<uint32_t>(excluded.size());
     double excl = 0.0;
-    bool any = false;
-    const uint32_t i = dense;
-    for (const auto& b : bindings) {
-      if (TupleSatisfies(b, source, r)) {
-        events.push_back(Event{b.attribute->NumericAt(r), i, b.probability});
-        any = true;
+    for (size_t j = 0; j < t.m; ++j) {
+      if (t.sat[j]) {
+        events.push_back(Event{t.value[j], i, t.prob[j]});
       } else {
-        excl += b.probability;
+        excl += t.prob[j];
       }
     }
-    if (!any) return;  // never contributes: drop from the product entirely
     excluded.push_back(excl);
-    ++dense;
-  });
+  }));
 
   NaiveAnswer answer;
   if (events.empty()) {
@@ -288,28 +254,15 @@ Result<NaiveAnswer> ByTupleMinMax::DistMin(const AggregateQuery& query,
                       /*toward_max=*/false, ctx);
 }
 
-namespace {
-
-Result<double> ExpectedFrom(Result<NaiveAnswer> answer) {
-  AQUA_RETURN_NOT_OK(answer.status());
-  if (answer->undefined_mass > 1e-12) {
-    return Status::InvalidArgument(
-        "expected value is undefined: the aggregate has no value with "
-        "probability " +
-        std::to_string(answer->undefined_mass));
-  }
-  return answer->distribution.Expectation();
-}
-
-}  // namespace
-
 Result<double> ByTupleMinMax::ExpectedMax(const AggregateQuery& query,
                                           const PMapping& pmapping,
                                           const Table& source,
                                           RowSpan rows,
                                           ExecContext* ctx) {
   obs::TraceSpan span("ByTupleMinMax::ExpectedMax");
-  return ExpectedFrom(DistMax(query, pmapping, source, rows, ctx));
+  AQUA_ASSIGN_OR_RETURN(NaiveAnswer answer,
+                        DistMax(query, pmapping, source, rows, ctx));
+  return DefinedExpectation(answer);
 }
 
 Result<double> ByTupleMinMax::ExpectedMin(const AggregateQuery& query,
@@ -318,7 +271,9 @@ Result<double> ByTupleMinMax::ExpectedMin(const AggregateQuery& query,
                                           RowSpan rows,
                                           ExecContext* ctx) {
   obs::TraceSpan span("ByTupleMinMax::ExpectedMin");
-  return ExpectedFrom(DistMin(query, pmapping, source, rows, ctx));
+  AQUA_ASSIGN_OR_RETURN(NaiveAnswer answer,
+                        DistMin(query, pmapping, source, rows, ctx));
+  return DefinedExpectation(answer);
 }
 
 }  // namespace aqua

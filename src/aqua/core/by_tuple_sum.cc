@@ -6,58 +6,39 @@
 #include <unordered_map>
 
 #include "aqua/core/by_table.h"
-#include "aqua/core/by_tuple_common.h"
+#include "aqua/core/tuple_scan.h"
 #include "aqua/obs/trace.h"
 
 namespace aqua {
 namespace {
 
-using by_tuple_internal::TupleSatisfies;
-
-/// Per-tuple summary across the candidate mappings.
-struct TupleStats {
-  bool any = false;   // satisfies under >= 1 mapping
-  bool all = true;    // satisfies under every mapping
-  double vmin = 0.0;  // min attribute value over satisfying mappings
-  double vmax = 0.0;  // max attribute value over satisfying mappings
+/// A contribution snapped to the quantisation grid, with its probability.
+struct Atom {
+  int64_t bucket;
+  double prob;
 };
 
-TupleStats Summarise(const std::vector<Reformulator::MappingBinding>& bindings,
-                     const Table& table, size_t row) {
-  TupleStats s;
-  for (const auto& b : bindings) {
-    if (!TupleSatisfies(b, table, row)) {
-      s.all = false;
-      continue;
-    }
-    const double v = b.attribute->NumericAt(row);
-    if (!s.any) {
-      s.vmin = s.vmax = v;
-      s.any = true;
-    } else {
-      s.vmin = std::min(s.vmin, v);
-      s.vmax = std::max(s.vmax, v);
+/// Adds `prob` to the atom at `bucket`, or appends a new atom.
+void AddAtom(std::vector<Atom>* atoms, int64_t bucket, double prob) {
+  for (Atom& a : *atoms) {
+    if (a.bucket == bucket) {
+      a.prob += prob;
+      return;
     }
   }
-  if (!s.any) s.all = false;
-  return s;
+  atoms->push_back(Atom{bucket, prob});
 }
 
-Result<std::vector<Reformulator::MappingBinding>> BindChecked(
-    const AggregateQuery& query, const PMapping& pmapping,
-    const Table& source, AggregateFunction expected) {
-  if (query.func != expected) {
-    return Status::InvalidArgument(
-        std::string("expected a ") +
-        std::string(AggregateFunctionToString(expected)) + " query, got " +
-        std::string(AggregateFunctionToString(query.func)));
+/// Snaps `value` to the grid of step `resolution`.
+Result<int64_t> Quantise(double value, double resolution) {
+  const double scaled = value / resolution;
+  if (std::fabs(scaled) >=
+      static_cast<double>(std::numeric_limits<int64_t>::max()) / 4) {
+    return Status::OutOfRange(
+        "attribute value overflows the quantisation grid; increase "
+        "resolution");
   }
-  if (query.distinct) {
-    return Status::Unimplemented(
-        std::string(AggregateFunctionToString(expected)) +
-        "(DISTINCT) has no PTIME by-tuple algorithm");
-  }
-  return Reformulator::BindAll(query, pmapping, source);
+  return std::llround(scaled);
 }
 
 }  // namespace
@@ -69,26 +50,22 @@ Result<Interval> ByTupleSum::RangeSum(const AggregateQuery& query,
                                       ExecContext* ctx) {
   obs::TraceSpan span("ByTupleSum::RangeSum");
   AQUA_ASSIGN_OR_RETURN(
-      std::vector<Reformulator::MappingBinding> bindings,
-      BindChecked(query, pmapping, source, AggregateFunction::kSum));
-  AQUA_RETURN_NOT_OK(
-      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
-  AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kSum, pmapping, source));
   double low = 0.0;
   double up = 0.0;
-  rows.ForEach(source.num_rows(), [&](size_t r) {
-    const TupleStats s = Summarise(bindings, source, r);
-    if (!s.any) return;
-    if (s.all) {
-      low += s.vmin;
-      up += s.vmax;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+    if (!t.any()) return;
+    if (t.all()) {
+      low += t.vmin();
+      up += t.vmax();
     } else {
       // The tuple can also be excluded by picking a non-satisfying
       // mapping, so each bound may take 0 instead of an extreme value.
-      low += std::min(0.0, s.vmin);
-      up += std::max(0.0, s.vmax);
+      low += std::min(0.0, t.vmin());
+      up += std::max(0.0, t.vmax());
     }
-  });
+  }));
   return Interval{low, up};
 }
 
@@ -96,13 +73,7 @@ Result<double> ByTupleSum::ExpectedSum(const AggregateQuery& query,
                                        const PMapping& pmapping,
                                        const Table& source) {
   obs::TraceSpan span("ByTupleSum::ExpectedSum");
-  if (query.func != AggregateFunction::kSum) {
-    return Status::InvalidArgument("ExpectedSum requires a SUM query");
-  }
-  if (query.distinct) {
-    return Status::Unimplemented(
-        "SUM(DISTINCT) has no PTIME by-tuple algorithm");
-  }
+  AQUA_RETURN_NOT_OK(TupleScan::CheckShape(query, AggregateFunction::kSum));
   // Theorem 4: the by-tuple expected value of SUM equals the by-table one,
   // because each tuple's mapping choice is independent and SUM is linear.
   AQUA_ASSIGN_OR_RETURN(
@@ -121,45 +92,30 @@ Result<Distribution> ByTupleSum::DistQuantized(
     return Status::InvalidArgument("resolution must be positive");
   }
   AQUA_ASSIGN_OR_RETURN(
-      std::vector<Reformulator::MappingBinding> bindings,
-      BindChecked(query, pmapping, source, AggregateFunction::kSum));
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kSum, pmapping, source));
 
   // Per-tuple contribution atoms on the bucket grid: (bucket, probability)
   // with equal buckets merged. A non-satisfying mapping contributes
   // bucket 0.
-  struct Atom {
-    int64_t bucket;
-    double prob;
-  };
   std::vector<std::vector<Atom>> tuples;
   int64_t total_min = 0;
   int64_t total_max = 0;
   Status scan_status = Status::OK();
-  rows.ForEach(source.num_rows(), [&](size_t r) {
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
     if (!scan_status.ok()) return;
     std::vector<Atom> atoms;
-    for (const auto& b : bindings) {
+    for (size_t j = 0; j < t.m; ++j) {
       int64_t bucket = 0;
-      if (TupleSatisfies(b, source, r)) {
-        const double scaled = b.attribute->NumericAt(r) / options.resolution;
-        if (std::fabs(scaled) >=
-            static_cast<double>(std::numeric_limits<int64_t>::max()) / 4) {
-          scan_status = Status::OutOfRange(
-              "attribute value overflows the quantisation grid; increase "
-              "resolution");
+      if (t.sat[j]) {
+        Result<int64_t> q = Quantise(t.value[j], options.resolution);
+        if (!q.ok()) {
+          scan_status = q.status();
           return;
         }
-        bucket = std::llround(scaled);
+        bucket = *q;
       }
-      bool merged = false;
-      for (Atom& a : atoms) {
-        if (a.bucket == bucket) {
-          a.prob += b.probability;
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) atoms.push_back(Atom{bucket, b.probability});
+      AddAtom(&atoms, bucket, t.prob[j]);
     }
     // Tuples whose every candidate contributes bucket 0 never move the
     // sum; skip them entirely.
@@ -173,7 +129,7 @@ Result<Distribution> ByTupleSum::DistQuantized(
     total_min += mn;
     total_max += mx;
     tuples.push_back(std::move(atoms));
-  });
+  }));
   AQUA_RETURN_NOT_OK(scan_status);
 
   const uint64_t width = static_cast<uint64_t>(total_max - total_min) + 1;
@@ -241,13 +197,9 @@ Result<NaiveAnswer> ByTupleSum::DistAvgQuantized(
     return Status::InvalidArgument("resolution must be positive");
   }
   AQUA_ASSIGN_OR_RETURN(
-      std::vector<Reformulator::MappingBinding> bindings,
-      BindChecked(query, pmapping, source, AggregateFunction::kAvg));
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kAvg, pmapping, source));
 
-  struct Atom {
-    int64_t bucket;
-    double prob;
-  };
   struct TupleAtoms {
     std::vector<Atom> atoms;  // satisfying contributions
     double excluded = 0.0;    // probability of contributing nothing
@@ -256,44 +208,32 @@ Result<NaiveAnswer> ByTupleSum::DistAvgQuantized(
   int64_t sum_min = 0;  // over included choices only (exclusion adds 0)
   int64_t sum_max = 0;
   Status scan_status = Status::OK();
-  rows.ForEach(source.num_rows(), [&](size_t r) {
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
     if (!scan_status.ok()) return;
-    TupleAtoms t;
-    for (const auto& b : bindings) {
-      if (!TupleSatisfies(b, source, r)) {
-        t.excluded += b.probability;
+    TupleAtoms ta;
+    for (size_t j = 0; j < t.m; ++j) {
+      if (!t.sat[j]) {
+        ta.excluded += t.prob[j];
         continue;
       }
-      const double scaled = b.attribute->NumericAt(r) / options.resolution;
-      if (std::fabs(scaled) >=
-          static_cast<double>(std::numeric_limits<int64_t>::max()) / 4) {
-        scan_status = Status::OutOfRange(
-            "attribute value overflows the quantisation grid; increase "
-            "resolution");
+      Result<int64_t> q = Quantise(t.value[j], options.resolution);
+      if (!q.ok()) {
+        scan_status = q.status();
         return;
       }
-      const int64_t bucket = std::llround(scaled);
-      bool merged = false;
-      for (Atom& a : t.atoms) {
-        if (a.bucket == bucket) {
-          a.prob += b.probability;
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) t.atoms.push_back(Atom{bucket, b.probability});
+      AddAtom(&ta.atoms, *q, t.prob[j]);
     }
-    if (t.atoms.empty()) return;  // never qualifies: irrelevant to AVG
-    int64_t mn = t.atoms[0].bucket;
-    int64_t mx = t.atoms[0].bucket;
-    for (const Atom& a : t.atoms) {
+    if (ta.atoms.empty()) return;  // never qualifies: irrelevant to AVG
+    int64_t mn = ta.atoms[0].bucket;
+    int64_t mx = ta.atoms[0].bucket;
+    for (const Atom& a : ta.atoms) {
       mn = std::min(mn, a.bucket);
       mx = std::max(mx, a.bucket);
     }
     sum_min += std::min<int64_t>(0, mn);
     sum_max += std::max<int64_t>(0, mx);
-    tuples.push_back(std::move(t));
-  });
+    tuples.push_back(std::move(ta));
+  }));
   AQUA_RETURN_NOT_OK(scan_status);
 
   NaiveAnswer answer;
@@ -374,19 +314,14 @@ Result<double> ByTupleSum::ExpectedSumLinear(const AggregateQuery& query,
                                              ExecContext* ctx) {
   obs::TraceSpan span("ByTupleSum::ExpectedSumLinear");
   AQUA_ASSIGN_OR_RETURN(
-      std::vector<Reformulator::MappingBinding> bindings,
-      BindChecked(query, pmapping, source, AggregateFunction::kSum));
-  AQUA_RETURN_NOT_OK(
-      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
-  AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kSum, pmapping, source));
   double expected = 0.0;
-  rows.ForEach(source.num_rows(), [&](size_t r) {
-    for (const auto& b : bindings) {
-      if (TupleSatisfies(b, source, r)) {
-        expected += b.probability * b.attribute->NumericAt(r);
-      }
-    }
-  });
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+    // value[j] is 0 where mapping j does not satisfy, so those terms add
+    // +0.0 and leave the total's bits unchanged.
+    for (size_t j = 0; j < t.m; ++j) expected += t.prob[j] * t.value[j];
+  }));
   return expected;
 }
 
@@ -397,21 +332,17 @@ Result<Interval> ByTupleSum::RangeAvgPaper(const AggregateQuery& query,
                                            ExecContext* ctx) {
   obs::TraceSpan span("ByTupleSum::RangeAvgPaper");
   AQUA_ASSIGN_OR_RETURN(
-      std::vector<Reformulator::MappingBinding> bindings,
-      BindChecked(query, pmapping, source, AggregateFunction::kAvg));
-  AQUA_RETURN_NOT_OK(
-      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
-  AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kAvg, pmapping, source));
   double low_sum = 0.0, up_sum = 0.0;
   int64_t low_cnt = 0, up_cnt = 0;
-  rows.ForEach(source.num_rows(), [&](size_t r) {
-    const TupleStats s = Summarise(bindings, source, r);
-    if (!s.any) return;
-    low_sum += s.vmin;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+    if (!t.any()) return;
+    low_sum += t.vmin();
     ++low_cnt;
-    up_sum += s.vmax;
+    up_sum += t.vmax();
     ++up_cnt;
-  });
+  }));
   if (low_cnt == 0) {
     return Status::InvalidArgument(
         "AVG is undefined: no tuple satisfies the condition under any "
@@ -428,26 +359,22 @@ Result<Interval> ByTupleSum::RangeAvgExact(const AggregateQuery& query,
                                            ExecContext* ctx) {
   obs::TraceSpan span("ByTupleSum::RangeAvgExact");
   AQUA_ASSIGN_OR_RETURN(
-      std::vector<Reformulator::MappingBinding> bindings,
-      BindChecked(query, pmapping, source, AggregateFunction::kAvg));
-  AQUA_RETURN_NOT_OK(
-      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
-  AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kAvg, pmapping, source));
   double mand_min_sum = 0.0, mand_max_sum = 0.0;
   int64_t mand_cnt = 0;
   std::vector<double> opt_min, opt_max;  // optional tuples' extreme values
-  rows.ForEach(source.num_rows(), [&](size_t r) {
-    const TupleStats s = Summarise(bindings, source, r);
-    if (!s.any) return;
-    if (s.all) {
-      mand_min_sum += s.vmin;
-      mand_max_sum += s.vmax;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+    if (!t.any()) return;
+    if (t.all()) {
+      mand_min_sum += t.vmin();
+      mand_max_sum += t.vmax();
       ++mand_cnt;
     } else {
-      opt_min.push_back(s.vmin);
-      opt_max.push_back(s.vmax);
+      opt_min.push_back(t.vmin());
+      opt_max.push_back(t.vmax());
     }
-  });
+  }));
   if (mand_cnt == 0 && opt_min.empty()) {
     return Status::InvalidArgument(
         "AVG is undefined: no tuple satisfies the condition under any "

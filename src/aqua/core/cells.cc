@@ -193,22 +193,16 @@ Result<AggregateAnswer> FinishExpected(ShardPartial p) {
 }
 
 Result<AggregateAnswer> FinishDistribution(ShardPartial p) {
-  if (p.undefined_mass > 1e-12) {
-    return Status::InvalidArgument(
-        "the aggregate is undefined with probability " +
-        std::to_string(p.undefined_mass) + "; no total distribution exists");
-  }
-  return AggregateAnswer::MakeDistribution(std::move(p.dist));
+  AQUA_ASSIGN_OR_RETURN(
+      Distribution d,
+      DefinedDistribution(NaiveAnswer{std::move(p.dist), p.undefined_mass}));
+  return AggregateAnswer::MakeDistribution(std::move(d));
 }
 
 Result<AggregateAnswer> FinishExpectationOfDistribution(ShardPartial p) {
-  if (p.undefined_mass > 1e-12) {
-    return Status::InvalidArgument(
-        "expected value is undefined: the aggregate has no value with "
-        "probability " +
-        std::to_string(p.undefined_mass));
-  }
-  AQUA_ASSIGN_OR_RETURN(double e, p.dist.Expectation());
+  AQUA_ASSIGN_OR_RETURN(
+      double e,
+      DefinedExpectation(NaiveAnswer{std::move(p.dist), p.undefined_mass}));
   return AggregateAnswer::MakeExpected(e);
 }
 

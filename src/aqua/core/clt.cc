@@ -3,13 +3,11 @@
 #include <cmath>
 
 #include "aqua/common/check.h"
-#include "aqua/core/by_tuple_common.h"
+#include "aqua/core/tuple_scan.h"
 #include "aqua/obs/trace.h"
 
 namespace aqua {
 namespace {
-
-using by_tuple_internal::TupleSatisfies;
 
 // Acklam's rational approximation of the standard normal quantile.
 double StandardNormalQuantile(double p) {
@@ -81,33 +79,25 @@ Result<NormalApproximation> ByTupleCLT::ApproxSum(
     const AggregateQuery& query, const PMapping& pmapping, const Table& source,
     RowSpan rows, ExecContext* ctx) {
   obs::TraceSpan span("ByTupleCLT::ApproxSum");
-  if (query.func != AggregateFunction::kSum) {
-    return Status::InvalidArgument("ApproxSum requires a SUM query");
-  }
-  if (query.distinct) {
-    return Status::Unimplemented(
-        "SUM(DISTINCT) contributions are not tuple-independent");
-  }
-  AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
-                        Reformulator::BindAll(query, pmapping, source));
-  AQUA_RETURN_NOT_OK(
-      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
-  AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
+  AQUA_ASSIGN_OR_RETURN(
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kSum, pmapping, source));
   NormalApproximation approx;
-  rows.ForEach(source.num_rows(), [&](size_t r) {
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
     // Tuple i contributes v_ij with probability Pr(m_j) when it satisfies
     // under m_j, and 0 otherwise.
     double ex = 0.0;   // E[X_i]
     double ex2 = 0.0;  // E[X_i^2]
-    for (const auto& b : bindings) {
-      if (!TupleSatisfies(b, source, r)) continue;
-      const double v = b.attribute->NumericAt(r);
-      ex += b.probability * v;
-      ex2 += b.probability * v * v;
+    // value[j] is 0 where mapping j does not satisfy: those terms add
+    // +0.0, which leaves the sums' bits unchanged.
+    for (size_t j = 0; j < t.m; ++j) {
+      const double v = t.value[j];
+      ex += t.prob[j] * v;
+      ex2 += t.prob[j] * v * v;
     }
     approx.mean += ex;
     approx.variance += ex2 - ex * ex;
-  });
+  }));
   if (approx.variance < 0.0) approx.variance = 0.0;  // float guard
   return approx;
 }
@@ -117,37 +107,24 @@ Result<double> ByTupleCLT::ApproxAvgExpectation(
     RowSpan rows, double min_expected_count,
     ExecContext* ctx) {
   obs::TraceSpan span("ByTupleCLT::ApproxAvgExpectation");
-  if (query.func != AggregateFunction::kAvg) {
-    return Status::InvalidArgument("ApproxAvgExpectation requires AVG");
-  }
-  if (query.distinct) {
-    return Status::Unimplemented(
-        "AVG(DISTINCT) contributions are not tuple-independent");
-  }
-  AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
-                        Reformulator::BindAll(query, pmapping, source));
-  AQUA_RETURN_NOT_OK(
-      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
-  AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
+  AQUA_ASSIGN_OR_RETURN(
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kAvg, pmapping, source));
   // Per tuple: s_i = contributed value (0 when excluded), c_i = inclusion
   // indicator. s_i*c_i == s_i, so Cov(s_i, c_i) = E[s_i] - E[s_i]E[c_i].
   double es = 0.0;   // E[S]
   double ec = 0.0;   // E[C]
   double var_c = 0.0;
   double cov_sc = 0.0;
-  rows.ForEach(source.num_rows(), [&](size_t r) {
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
     double e_si = 0.0;
-    double occ = 0.0;
-    for (const auto& b : bindings) {
-      if (!TupleSatisfies(b, source, r)) continue;
-      e_si += b.probability * b.attribute->NumericAt(r);
-      occ += b.probability;
-    }
+    for (size_t j = 0; j < t.m; ++j) e_si += t.prob[j] * t.value[j];
+    const double occ = t.occ();
     es += e_si;
     ec += occ;
     var_c += occ * (1.0 - occ);
     cov_sc += e_si - e_si * occ;
-  });
+  }));
   if (ec < min_expected_count) {
     return Status::InvalidArgument(
         "expected count " + std::to_string(ec) +
@@ -161,26 +138,15 @@ Result<NormalApproximation> ByTupleCLT::ApproxCount(
     const AggregateQuery& query, const PMapping& pmapping, const Table& source,
     RowSpan rows, ExecContext* ctx) {
   obs::TraceSpan span("ByTupleCLT::ApproxCount");
-  if (query.func != AggregateFunction::kCount) {
-    return Status::InvalidArgument("ApproxCount requires a COUNT query");
-  }
-  if (query.distinct) {
-    return Status::Unimplemented("COUNT(DISTINCT) is not tuple-independent");
-  }
-  AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
-                        Reformulator::BindAll(query, pmapping, source));
-  AQUA_RETURN_NOT_OK(
-      ExecCharge(ctx, rows.size(source.num_rows()) * bindings.size()));
-  AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
+  AQUA_ASSIGN_OR_RETURN(
+      TupleScan scan,
+      TupleScan::Bind(query, AggregateFunction::kCount, pmapping, source));
   NormalApproximation approx;
-  rows.ForEach(source.num_rows(), [&](size_t r) {
-    double occ = 0.0;
-    for (const auto& b : bindings) {
-      if (TupleSatisfies(b, source, r)) occ += b.probability;
-    }
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+    const double occ = t.occ();
     approx.mean += occ;
     approx.variance += occ * (1.0 - occ);
-  });
+  }));
   if (approx.variance < 0.0) approx.variance = 0.0;
   return approx;
 }

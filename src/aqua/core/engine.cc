@@ -12,11 +12,11 @@
 #include "aqua/core/merge.h"
 #include "aqua/core/nested.h"
 #include "aqua/core/shards.h"
+#include "aqua/core/tuple_scan.h"
 #include "aqua/obs/metrics.h"
 #include "aqua/obs/trace.h"
 #include "aqua/query/executor.h"
 #include "aqua/query/parser.h"
-#include "aqua/reformulate/reformulator.h"
 
 namespace aqua {
 namespace {
@@ -81,16 +81,6 @@ std::string NestedCellName(MappingSemantics ms, AggregateSemantics as,
              ? "NestedByTuple (enumerate mapping sequences), O(l^n * n)"
              : "unimplemented (no PTIME algorithm; "
                "EngineOptions::allow_naive disabled)";
-}
-
-Result<AggregateAnswer> FromNaiveDist(NaiveAnswer naive) {
-  if (naive.undefined_mass > 1e-12) {
-    return Status::InvalidArgument(
-        "the aggregate is undefined with probability " +
-        std::to_string(naive.undefined_mass) +
-        "; no total distribution exists");
-  }
-  return AggregateAnswer::MakeDistribution(std::move(naive.distribution));
 }
 
 }  // namespace
@@ -429,10 +419,8 @@ Result<std::vector<GroupedAnswer>> Engine::AnswerGrouped(
   // once, up front: the per-group loop below treats kInvalidArgument as
   // "this group's aggregate is undefined" and would silently drop every
   // group otherwise.
-  {
-    const auto bindings = Reformulator::BindAll(ungrouped, pmapping, source);
-    if (!bindings.ok()) return bindings.status();
-  }
+  AQUA_RETURN_NOT_OK(
+      TupleScan::Bind(ungrouped, ungrouped.func, pmapping, source).status());
   // Compute the per-group stats template once: every group runs the same
   // algorithm cell against the same p-mapping.
   QueryStats stats_template;
@@ -571,7 +559,9 @@ Result<AggregateAnswer> Engine::AnswerNested(
           NaiveAnswer naive,
           NestedByTuple::NaiveDist(query, pmapping, source, options_.naive,
                                    &ctx));
-      return FromNaiveDist(std::move(naive));
+      AQUA_ASSIGN_OR_RETURN(Distribution d,
+                            DefinedDistribution(std::move(naive)));
+      return AggregateAnswer::MakeDistribution(std::move(d));
     }
     case AggregateSemantics::kExpectedValue: {
       if (!options_.allow_naive) {
@@ -583,12 +573,7 @@ Result<AggregateAnswer> Engine::AnswerNested(
           NaiveAnswer naive,
           NestedByTuple::NaiveDist(query, pmapping, source, options_.naive,
                                    &ctx));
-      if (naive.undefined_mass > 1e-12) {
-        return Status::InvalidArgument(
-            "nested expected value is undefined with probability " +
-            std::to_string(naive.undefined_mass));
-      }
-      AQUA_ASSIGN_OR_RETURN(double e, naive.distribution.Expectation());
+      AQUA_ASSIGN_OR_RETURN(double e, DefinedExpectation(naive));
       return AggregateAnswer::MakeExpected(e);
     }
     }

@@ -4,26 +4,11 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "aqua/core/by_tuple_common.h"
+#include "aqua/core/tuple_scan.h"
 #include "aqua/obs/trace.h"
 
 namespace aqua {
 namespace {
-
-using by_tuple_internal::BuildTupleMappingGrid;
-using by_tuple_internal::TupleMappingGrid;
-
-Result<TupleMappingGrid> BuildGrid(const AggregateQuery& query,
-                                   const PMapping& pmapping,
-                                   const Table& source,
-                                   RowSpan rows) {
-  if (query.distinct && query.func != AggregateFunction::kMin &&
-      query.func != AggregateFunction::kMax) {
-    return Status::Unimplemented(
-        "naive enumeration does not support DISTINCT except for MIN/MAX");
-  }
-  return BuildTupleMappingGrid(query, pmapping, source, rows);
-}
 
 Status CheckBudget(const TupleMappingGrid& grid, const NaiveOptions& options) {
   // l^n versus the budget, without overflow.
@@ -40,7 +25,30 @@ Status CheckBudget(const TupleMappingGrid& grid, const NaiveOptions& options) {
   return Status::OK();
 }
 
+/// Undefined mass up to this much is rounding, not a real outcome.
+constexpr double kUndefinedMassTolerance = 1e-12;
+
 }  // namespace
+
+Result<Distribution> DefinedDistribution(NaiveAnswer answer) {
+  if (answer.undefined_mass > kUndefinedMassTolerance) {
+    return Status::InvalidArgument(
+        "the aggregate is undefined with probability " +
+        std::to_string(answer.undefined_mass) +
+        "; no total distribution exists");
+  }
+  return std::move(answer.distribution);
+}
+
+Result<double> DefinedExpectation(const NaiveAnswer& answer) {
+  if (answer.undefined_mass > kUndefinedMassTolerance) {
+    return Status::InvalidArgument(
+        "expected value is undefined: the aggregate has no value with "
+        "probability " +
+        std::to_string(answer.undefined_mass));
+  }
+  return answer.distribution.Expectation();
+}
 
 Result<NaiveAnswer> NaiveByTuple::Dist(const AggregateQuery& query,
                                        const PMapping& pmapping,
@@ -50,7 +58,7 @@ Result<NaiveAnswer> NaiveByTuple::Dist(const AggregateQuery& query,
                                        ExecContext* ctx) {
   obs::TraceSpan span("NaiveByTuple::Dist");
   AQUA_ASSIGN_OR_RETURN(TupleMappingGrid grid,
-                        BuildGrid(query, pmapping, source, rows));
+                        BuildTupleMappingGrid(query, pmapping, source, rows));
   AQUA_RETURN_NOT_OK(CheckBudget(grid, options));
   AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
 
@@ -152,13 +160,7 @@ Result<double> NaiveByTuple::Expected(const AggregateQuery& query,
   obs::TraceSpan span("NaiveByTuple::Expected");
   AQUA_ASSIGN_OR_RETURN(NaiveAnswer answer,
                         Dist(query, pmapping, source, options, rows, ctx));
-  if (answer.undefined_mass > 1e-12) {
-    return Status::InvalidArgument(
-        "expected value is undefined: the aggregate has no value with "
-        "probability " +
-        std::to_string(answer.undefined_mass));
-  }
-  return answer.distribution.Expectation();
+  return DefinedExpectation(answer);
 }
 
 Result<Interval> NaiveByTuple::Range(const AggregateQuery& query,

@@ -32,6 +32,15 @@ struct NaiveAnswer {
   double undefined_mass = 0.0;
 };
 
+/// The distribution of `answer` when the aggregate is defined with
+/// probability 1 (undefined mass at most 1e-12); kInvalidArgument
+/// otherwise, since no total distribution exists.
+Result<Distribution> DefinedDistribution(NaiveAnswer answer);
+
+/// The expected value of `answer` under the same rule: an aggregate that
+/// is undefined with positive probability has no unconditional mean.
+Result<double> DefinedExpectation(const NaiveAnswer& answer);
+
 /// The generic exponential by-tuple algorithm (paper §IV-B): enumerate all
 /// l^n mapping sequences, evaluate the aggregate per sequence, and
 /// accumulate Pr(sequence) onto the resulting value. This is both the only

@@ -5,17 +5,13 @@
 #include <optional>
 
 #include "aqua/common/check.h"
-#include "aqua/core/by_tuple_common.h"
 #include "aqua/core/cells.h"
+#include "aqua/core/tuple_scan.h"
 #include "aqua/obs/trace.h"
 #include "aqua/query/executor.h"
 
 namespace aqua {
 namespace {
-
-using by_tuple_internal::BuildTupleMappingGrid;
-using by_tuple_internal::TupleMappingGrid;
-using by_tuple_internal::TupleSatisfies;
 
 /// Resolves the (certain) inner GROUP BY attribute and partitions rows by
 /// group.
@@ -53,8 +49,8 @@ Result<Interval> NestedByTuple::Range(const NestedAggregateQuery& query,
 
   AggregateQuery inner = query.inner;
   inner.group_by.clear();
-  AQUA_ASSIGN_OR_RETURN(std::vector<Reformulator::MappingBinding> bindings,
-                        Reformulator::BindAll(inner, pmapping, source));
+  AQUA_ASSIGN_OR_RETURN(
+      TupleScan scan, TupleScan::Bind(inner, inner.func, pmapping, source));
   // The inner aggregate's by-tuple range cell, run once per group.
   const EngineOptions options;
   const ByTupleCell& range_cell =
@@ -74,15 +70,17 @@ Result<Interval> NestedByTuple::Range(const NestedAggregateQuery& query,
         const std::vector<uint32_t>& rows = groups[g];
         // Precondition: no group may vanish under any sequence. A group is
         // safe iff it has a tuple satisfying the inner condition under all
-        // mappings.
+        // mappings. This loop does not fold over `scan.Run`: it stops at
+        // the first mandatory tuple and charges only the rows it visited,
+        // where Run charges the whole span up front.
         bool has_mandatory = false;
         bool has_any = false;
         for (uint32_t r : rows) {
-          AQUA_RETURN_NOT_OK(ExecCharge(child, bindings.size()));
+          AQUA_RETURN_NOT_OK(ExecCharge(child, scan.num_mappings()));
           bool all = true;
           bool any = false;
-          for (const auto& b : bindings) {
-            if (TupleSatisfies(b, source, r)) {
+          for (size_t j = 0; j < scan.num_mappings(); ++j) {
+            if (scan.Satisfies(j, r)) {
               any = true;
             } else {
               all = false;
@@ -142,12 +140,6 @@ Result<NaiveAnswer> NestedByTuple::NaiveDist(const NestedAggregateQuery& query,
                         PartitionByGroup(query, pmapping, source));
   AggregateQuery inner = query.inner;
   inner.group_by.clear();
-  if (inner.distinct && inner.func != AggregateFunction::kMin &&
-      inner.func != AggregateFunction::kMax) {
-    return Status::Unimplemented(
-        "naive nested enumeration does not support DISTINCT except for "
-        "MIN/MAX");
-  }
   AQUA_ASSIGN_OR_RETURN(
       TupleMappingGrid grid,
       BuildTupleMappingGrid(inner, pmapping, source, /*rows=*/{}));

@@ -43,10 +43,11 @@ class RowSpan {
     return ids_ != nullptr ? ids_[begin_ + i] : begin_ + i;
   }
 
-  /// The first `count` rows of this span.
-  RowSpan Prefix(size_t count) const {
+  /// The visited rows [first, last) of this span, in visit order.
+  RowSpan Sub(size_t first, size_t last) const {
     RowSpan span = *this;
-    span.end_ = begin_ + count;
+    span.begin_ = begin_ + first;
+    span.end_ = begin_ + last;
     return span;
   }
 

@@ -7,7 +7,7 @@
 #include "aqua/common/check.h"
 #include "aqua/common/failpoint.h"
 #include "aqua/common/random.h"
-#include "aqua/core/by_tuple_common.h"
+#include "aqua/core/tuple_scan.h"
 #include "aqua/obs/trace.h"
 #include "aqua/prob/discrete_sampler.h"
 
@@ -49,14 +49,8 @@ Result<SampledAnswer> ByTupleSampler::Sample(const AggregateQuery& query,
   if (options.num_samples == 0) {
     return Status::InvalidArgument("num_samples must be positive");
   }
-  if (query.distinct && query.func != AggregateFunction::kMin &&
-      query.func != AggregateFunction::kMax) {
-    return Status::Unimplemented(
-        "sampling does not support DISTINCT except for MIN/MAX");
-  }
-  AQUA_ASSIGN_OR_RETURN(
-      by_tuple_internal::TupleMappingGrid grid,
-      by_tuple_internal::BuildTupleMappingGrid(query, pmapping, source, rows));
+  AQUA_ASSIGN_OR_RETURN(TupleMappingGrid grid,
+                        BuildTupleMappingGrid(query, pmapping, source, rows));
   AQUA_ASSIGN_OR_RETURN(DiscreteSampler mapping_sampler,
                         DiscreteSampler::Make(grid.prob));
   AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));

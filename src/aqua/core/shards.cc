@@ -34,7 +34,7 @@ Result<merge::ShardPartial> RunExact(size_t s, RowSpan rows, size_t planned,
   // mid-scan would. The coverage check below must turn this into a
   // detected failure, never a silently short answer.
   const RowSpan run_rows =
-      torn && planned > 1 ? rows.Prefix(planned / 2) : rows;
+      torn && planned > 1 ? rows.Sub(0, planned / 2) : rows;
   AQUA_ASSIGN_OR_RETURN(merge::ShardPartial partial,
                         job(s, run_rows, ctx, exec::ExecPolicy{}));
   if (partial.rows_covered != planned) {

@@ -1,6 +1,7 @@
 #include "aqua/storage/csv.h"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -72,6 +73,12 @@ Result<Value> ParseTyped(const Field& f, ValueType type) {
         const double v = std::stod(f.text, &pos);
         if (pos != f.text.size()) {
           return Status::InvalidArgument("bad double field '" + f.text + "'");
+        }
+        // std::stod accepts "nan" and "inf"; no aggregate over them is
+        // meaningful, and NaN breaks every ordered sweep downstream.
+        if (!std::isfinite(v)) {
+          return Status::InvalidArgument("non-finite double field '" +
+                                         f.text + "'");
         }
         return Value::Double(v);
       } catch (...) {

@@ -1,5 +1,7 @@
 #include "aqua/core/by_tuple_minmax.h"
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "aqua/core/naive.h"
@@ -107,6 +109,43 @@ TEST_F(MinMaxFixture, RejectsWrongFunction) {
   AggregateQuery q = *SqlParser::ParseSimple("SELECT SUM(price) FROM T2");
   EXPECT_FALSE(ByTupleMinMax::RangeMax(q, pm2_, ds2_).ok());
   EXPECT_FALSE(ByTupleMinMax::RangeMin(q, pm2_, ds2_).ok());
+}
+
+// The distribution charges its scan (rows x mappings), one step per CDF
+// event (satisfying (tuple, mapping) pair) and one per distinct value
+// swept. Counted here straight from the source columns the two mappings
+// bind `price` to.
+TEST_F(MinMaxFixture, DistMaxChargesScanEventsAndSweep) {
+  AggregateQuery q =
+      *SqlParser::ParseSimple("SELECT MAX(price) FROM T2 WHERE price < 340");
+  const Column& bid = **ds2_.ColumnByName("bid");
+  const Column& current = **ds2_.ColumnByName("currentPrice");
+  uint64_t events = 0;
+  std::set<double> values;
+  for (size_t r = 0; r < ds2_.num_rows(); ++r) {
+    for (const Column* c : {&bid, &current}) {
+      if (c->IsNull(r) || !(c->NumericAt(r) < 340)) continue;
+      ++events;
+      values.insert(c->NumericAt(r));
+    }
+  }
+  ASSERT_GT(events, 0u);
+  ExecContext ctx;
+  const auto dist = ByTupleMinMax::DistMax(q, pm2_, ds2_, {}, &ctx);
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  EXPECT_EQ(ctx.steps(),
+            ds2_.num_rows() * pm2_.size() + events + values.size());
+  // Without the WHERE every (tuple, mapping) pair is an event.
+  q = *SqlParser::ParseSimple("SELECT MAX(price) FROM T2");
+  ExecContext all_ctx;
+  ASSERT_TRUE(ByTupleMinMax::ExpectedMax(q, pm2_, ds2_, {}, &all_ctx).ok());
+  std::set<double> all_values;
+  for (size_t r = 0; r < ds2_.num_rows(); ++r) {
+    all_values.insert(bid.NumericAt(r));
+    all_values.insert(current.NumericAt(r));
+  }
+  EXPECT_EQ(all_ctx.steps(),
+            ds2_.num_rows() * pm2_.size() * 2 + all_values.size());
 }
 
 TEST_F(MinMaxFixture, DistMaxMatchesNaive) {

@@ -64,7 +64,8 @@ TEST(RowSpanTest, IdListRangeAndWholeTable) {
   const RowSpan list = &ids;
   EXPECT_EQ(list.size(100), 3u);
   EXPECT_EQ(list.row(1), 2u);
-  EXPECT_EQ(list.Prefix(2).size(100), 2u);
+  EXPECT_EQ(list.Sub(0, 2).size(100), 2u);
+  EXPECT_EQ(list.Sub(1, 3).row(0), 2u);
   const RowSpan all = nullptr;
   EXPECT_EQ(all.size(100), 100u);
   EXPECT_EQ(all.row(42), 42u);

@@ -149,6 +149,25 @@ TEST(CsvTest, BadCellErrorNamesLineAndColumn) {
       << bad_double.status().message();
 }
 
+TEST(CsvTest, RejectsNonFiniteDoubles) {
+  // std::stod parses all of these. A NaN would hang the by-tuple MIN/MAX
+  // distribution sweep, whose sort and value grouping need a total order.
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                           "1e999"}) {
+    std::string csv = "id,price,phone,posted\n1,2,3,2008-01-05\n2,";
+    csv += text;
+    csv += ",3,2008-01-05\n";
+    const auto parsed = Csv::Parse(csv, TestSchema());
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(parsed.status().message().find("line 3, column 'price'"),
+              std::string::npos)
+        << parsed.status().message();
+    EXPECT_NE(parsed.status().message().find(text), std::string::npos)
+        << parsed.status().message();
+  }
+}
+
 TEST(CsvTest, ControlBytesAreOrdinaryStringData) {
   // Byte 0x01 was once the parser's internal "this field was quoted"
   // sentinel; data containing it must survive unmangled.
