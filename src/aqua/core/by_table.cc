@@ -9,6 +9,16 @@
 #include "aqua/reformulate/reformulator.h"
 
 namespace aqua {
+namespace {
+
+/// Charges one per-mapping executor pass over `source` (one step per row)
+/// and polls the deadline and cancellation before it runs.
+Status ChargeScan(ExecContext* ctx, const Table& source) {
+  AQUA_RETURN_NOT_OK(ExecCharge(ctx, source.num_rows()));
+  return ExecCheckNow(ctx);
+}
+
+}  // namespace
 
 Result<AggregateAnswer> ByTable::CombineResults(
     const std::vector<double>& results, const std::vector<double>& probs,
@@ -53,7 +63,8 @@ Result<AggregateAnswer> ByTable::CombineResults(
 Result<AggregateAnswer> ByTable::Answer(const AggregateQuery& query,
                                         const PMapping& pmapping,
                                         const Table& source,
-                                        AggregateSemantics semantics) {
+                                        AggregateSemantics semantics,
+                                        ExecContext* ctx) {
   obs::TraceSpan span("ByTable::Answer");
   if (!query.group_by.empty()) {
     return Status::InvalidArgument(
@@ -66,6 +77,7 @@ Result<AggregateAnswer> ByTable::Answer(const AggregateQuery& query,
     AQUA_ASSIGN_OR_RETURN(
         AggregateQuery reformulated,
         Reformulator::Reformulate(query, pmapping.mapping(i)));
+    AQUA_RETURN_NOT_OK(ChargeScan(ctx, source));
     AQUA_ASSIGN_OR_RETURN(std::optional<double> r,
                           Executor::ExecuteScalar(reformulated, source));
     if (!r.has_value()) {
@@ -82,7 +94,7 @@ Result<AggregateAnswer> ByTable::Answer(const AggregateQuery& query,
 
 Result<std::vector<GroupedAnswer>> ByTable::AnswerGrouped(
     const AggregateQuery& query, const PMapping& pmapping,
-    const Table& source, AggregateSemantics semantics) {
+    const Table& source, AggregateSemantics semantics, ExecContext* ctx) {
   obs::TraceSpan span("ByTable::AnswerGrouped");
   if (query.group_by.empty()) {
     return Status::InvalidArgument(
@@ -102,6 +114,7 @@ Result<std::vector<GroupedAnswer>> ByTable::AnswerGrouped(
     AQUA_ASSIGN_OR_RETURN(
         AggregateQuery reformulated,
         Reformulator::Reformulate(query, pmapping.mapping(i)));
+    AQUA_RETURN_NOT_OK(ChargeScan(ctx, source));
     AQUA_ASSIGN_OR_RETURN(std::vector<Executor::GroupResult> rows,
                           Executor::ExecuteGrouped(reformulated, source));
     for (const Executor::GroupResult& row : rows) {
@@ -129,7 +142,7 @@ Result<std::vector<GroupedAnswer>> ByTable::AnswerGrouped(
 
 Result<AggregateAnswer> ByTable::AnswerNested(
     const NestedAggregateQuery& query, const PMapping& pmapping,
-    const Table& source, AggregateSemantics semantics) {
+    const Table& source, AggregateSemantics semantics, ExecContext* ctx) {
   obs::TraceSpan span("ByTable::AnswerNested");
   std::vector<double> results;
   std::vector<double> probs;
@@ -138,6 +151,7 @@ Result<AggregateAnswer> ByTable::AnswerNested(
     AQUA_ASSIGN_OR_RETURN(
         NestedAggregateQuery reformulated,
         Reformulator::ReformulateNested(query, pmapping.mapping(i)));
+    AQUA_RETURN_NOT_OK(ChargeScan(ctx, source));
     AQUA_ASSIGN_OR_RETURN(std::optional<double> r,
                           Executor::ExecuteNested(reformulated, source));
     if (!r.has_value()) {

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "aqua/common/exec_context.h"
 #include "aqua/core/answer.h"
 #include "aqua/mapping/p_mapping.h"
 #include "aqua/query/ast.h"
@@ -16,7 +17,9 @@ namespace aqua {
 /// according to the requested aggregate semantics.
 ///
 /// All three aggregate semantics are PTIME here for every operator: the
-/// loop does l reformulations and l scans.
+/// loop does l reformulations and l scans. Each scan charges `ctx` one step
+/// per source row (l*n in all) and polls its deadline and cancellation
+/// before it starts; a null `ctx` charges nothing.
 class ByTable {
  public:
   /// Answers an ungrouped query. Fails with kInvalidArgument if the
@@ -26,7 +29,8 @@ class ByTable {
   static Result<AggregateAnswer> Answer(const AggregateQuery& query,
                                         const PMapping& pmapping,
                                         const Table& source,
-                                        AggregateSemantics semantics);
+                                        AggregateSemantics semantics,
+                                        ExecContext* ctx = nullptr);
 
   /// Answers a grouped query. Groups are aligned across mappings by group
   /// value. A group absent under some mapping (possible when the GROUP BY
@@ -37,14 +41,16 @@ class ByTable {
   /// group existing.
   static Result<std::vector<GroupedAnswer>> AnswerGrouped(
       const AggregateQuery& query, const PMapping& pmapping,
-      const Table& source, AggregateSemantics semantics);
+      const Table& source, AggregateSemantics semantics,
+      ExecContext* ctx = nullptr);
 
   /// Answers the nested form (paper query Q2): the full nested query is
   /// evaluated deterministically once per candidate mapping.
   static Result<AggregateAnswer> AnswerNested(const NestedAggregateQuery& query,
                                               const PMapping& pmapping,
                                               const Table& source,
-                                              AggregateSemantics semantics);
+                                              AggregateSemantics semantics,
+                                              ExecContext* ctx = nullptr);
 
   /// The paper's CombineResults: folds per-mapping results r_i with
   /// probabilities Pr(m_i) into a range, a distribution, or an expected

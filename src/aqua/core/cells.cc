@@ -1,6 +1,6 @@
 #include "aqua/core/cells.h"
 
-#include <string>
+#include <iterator>
 #include <utility>
 
 #include "aqua/core/by_tuple_count.h"
@@ -61,11 +61,6 @@ Result<ShardPartial> CountExpected(const CellCall& c) {
       ByTupleCount::Expected(c.query, c.pmapping, c.source, c.rows, c.ctx));
 }
 
-Result<ShardPartial> CountExpectedViaDistribution(const CellCall& c) {
-  return ExpectedPartial(ByTupleCount::ExpectedViaDistribution(
-      c.query, c.pmapping, c.source, c.rows, c.ctx, c.policy));
-}
-
 Result<ShardPartial> SumRange(const CellCall& c) {
   return RangePartial(
       ByTupleSum::RangeSum(c.query, c.pmapping, c.source, c.rows, c.ctx));
@@ -76,11 +71,6 @@ Result<ShardPartial> SumRange(const CellCall& c) {
 Result<ShardPartial> SumExpected(const CellCall& c) {
   return ExpectedPartial(ByTupleSum::ExpectedSumLinear(
       c.query, c.pmapping, c.source, c.rows, c.ctx));
-}
-
-Result<ShardPartial> AvgRangePaper(const CellCall& c) {
-  return RangePartial(
-      ByTupleSum::RangeAvgPaper(c.query, c.pmapping, c.source, c.rows, c.ctx));
 }
 
 Result<ShardPartial> AvgRangeExact(const CellCall& c) {
@@ -113,17 +103,7 @@ Result<ShardPartial> MaxDistribution(const CellCall& c) {
 
 Result<ShardPartial> NaiveDistribution(const CellCall& c) {
   return NaivePartial(NaiveByTuple::Dist(c.query, c.pmapping, c.source,
-                                         c.options.naive, c.rows, c.ctx));
-}
-
-Result<ShardPartial> OpenCell(const CellCall& c) {
-  return Status::Unimplemented(
-      std::string("no PTIME algorithm is known for ") +
-      std::string(AggregateFunctionToString(c.query.func)) +
-      " under by-tuple/" +
-      std::string(AggregateSemanticsToString(c.semantics)) +
-      " semantics (paper Figure 6); enable EngineOptions::allow_naive for "
-      "exponential enumeration");
+                                         c.naive, c.rows, c.ctx));
 }
 
 // Merge laws.
@@ -206,102 +186,90 @@ Result<AggregateAnswer> FinishExpectationOfDistribution(ShardPartial p) {
   return AggregateAnswer::MakeExpected(e);
 }
 
-bool CountExpectedViaDistributionOn(const EngineOptions& o) {
-  return o.count_expected_via_distribution;
-}
-bool AvgRangePaperOn(const EngineOptions& o) { return o.avg_range_paper; }
-bool MinMaxDistributionExactOn(const EngineOptions& o) {
-  return o.minmax_distribution_exact;
-}
-
 constexpr const char* kExtremumExplain =
     "exact extremum distribution via CDF factorisation (extension beyond "
     "the paper), O(n*m log(n*m))";
 
-/// One row of the Figure 6 table: the cell for (func, semantics) when the
-/// engine flag `applies` reads (null = always). The first matching row
-/// wins, so a flag's row precedes its default.
+// The cells the paper's Figure 6 leaves open: guarded naive enumeration.
+constexpr const char* kNaiveExplain =
+    "NaiveByTuple (enumerate mapping sequences), O(l^n * n)";
+
+/// One row of the Figure 6 table: the cell for (func, semantics).
 struct CellRow {
   AggregateFunction func;
   AggregateSemantics semantics;
-  bool (*applies)(const EngineOptions&);
   ByTupleCell cell;
 };
 
 using F = AggregateFunction;
 using S = AggregateSemantics;
 
+// One row per (func, semantics), in enum order, so lookup is an index.
 constexpr CellRow kCells[] = {
-    {F::kCount, S::kRange, nullptr,
+    {F::kCount, S::kRange,
      {"ByTupleRangeCOUNT, O(n*m)", CountRange, &kSumRanges, FinishRange}},
-    {F::kCount, S::kDistribution, nullptr,
+    {F::kCount, S::kDistribution,
      {"ByTuplePDCOUNT, O(m*n + n^2)", CountDistribution, &kConvolveCounts,
       FinishDistribution}},
-    {F::kCount, S::kExpectedValue, CountExpectedViaDistributionOn,
-     {"ByTupleExpValCOUNT via distribution, O(m*n + n^2)",
-      CountExpectedViaDistribution, &kSumExpectations, FinishExpected}},
-    {F::kCount, S::kExpectedValue, nullptr,
+    {F::kCount, S::kExpectedValue,
      {"ByTupleExpValCOUNT direct (linearity of expectation), O(n*m)",
       CountExpected, &kSumExpectations, FinishExpected}},
-    {F::kSum, S::kRange, nullptr,
+    {F::kSum, S::kRange,
      {"ByTupleRangeSUM, O(n*m)", SumRange, &kSumRanges, FinishRange}},
-    {F::kSum, S::kExpectedValue, nullptr,
+    {F::kSum, S::kDistribution,
+     {kNaiveExplain, NaiveDistribution, nullptr, FinishDistribution}},
+    {F::kSum, S::kExpectedValue,
      {"ByTupleExpValSUM = by-table expected value (Theorem 4), O(n*m)",
       SumExpected, &kSumExpectations, FinishExpected}},
     // AVG does not decompose over tuple subsets, and the MIN/MAX range
     // bounds hinge on whether any mandatory tuple exists: neither shards.
-    {F::kAvg, S::kRange, AvgRangePaperOn,
-     {"ByTupleRangeAVG (paper formula), O(n*m)", AvgRangePaper, nullptr,
-      FinishRange}},
-    {F::kAvg, S::kRange, nullptr,
+    {F::kAvg, S::kRange,
      {"ByTupleRangeAVG (tight variant), O(n*m + n log n)", AvgRangeExact,
       nullptr, FinishRange}},
-    {F::kMin, S::kRange, nullptr,
+    {F::kAvg, S::kDistribution,
+     {kNaiveExplain, NaiveDistribution, nullptr, FinishDistribution}},
+    {F::kAvg, S::kExpectedValue,
+     {kNaiveExplain, NaiveDistribution, nullptr,
+      FinishExpectationOfDistribution}},
+    {F::kMin, S::kRange,
      {"ByTupleRangeMIN, O(n*m)", MinRange, nullptr, FinishRange}},
-    {F::kMax, S::kRange, nullptr,
-     {"ByTupleRangeMAX, O(n*m)", MaxRange, nullptr, FinishRange}},
-    {F::kMin, S::kDistribution, MinMaxDistributionExactOn,
+    {F::kMin, S::kDistribution,
      {kExtremumExplain, MinDistribution, &kMinCdfProduct,
       FinishDistribution}},
-    {F::kMax, S::kDistribution, MinMaxDistributionExactOn,
-     {kExtremumExplain, MaxDistribution, &kMaxCdfProduct,
-      FinishDistribution}},
-    {F::kMin, S::kExpectedValue, MinMaxDistributionExactOn,
+    {F::kMin, S::kExpectedValue,
      {kExtremumExplain, MinDistribution, &kMinCdfProduct,
       FinishExpectationOfDistribution}},
-    {F::kMax, S::kExpectedValue, MinMaxDistributionExactOn,
+    {F::kMax, S::kRange,
+     {"ByTupleRangeMAX, O(n*m)", MaxRange, nullptr, FinishRange}},
+    {F::kMax, S::kDistribution,
+     {kExtremumExplain, MaxDistribution, &kMaxCdfProduct,
+      FinishDistribution}},
+    {F::kMax, S::kExpectedValue,
      {kExtremumExplain, MaxDistribution, &kMaxCdfProduct,
       FinishExpectationOfDistribution}},
 };
 
-// The open cells: no PTIME algorithm (paper Figure 6), so guarded naive
-// enumeration when allowed, else a clean kUnimplemented.
-constexpr const char* kNaiveExplain =
-    "NaiveByTuple (enumerate mapping sequences), O(l^n * n)";
-constexpr ByTupleCell kNaiveDistributionCell{
-    kNaiveExplain, NaiveDistribution, nullptr, FinishDistribution};
-constexpr ByTupleCell kNaiveExpectedCell{kNaiveExplain, NaiveDistribution,
-                                         nullptr,
-                                         FinishExpectationOfDistribution};
-constexpr ByTupleCell kUnimplementedCell{
-    "unimplemented (no PTIME algorithm; EngineOptions::allow_naive "
-    "disabled)",
-    OpenCell, nullptr, FinishRange};
+constexpr size_t kNumSemantics = 3;
+
+constexpr size_t CellIndex(AggregateFunction func,
+                           AggregateSemantics semantics) {
+  return static_cast<size_t>(func) * kNumSemantics +
+         static_cast<size_t>(semantics);
+}
+
+constexpr bool OneRowPerCell() {
+  for (size_t i = 0; i < std::size(kCells); ++i) {
+    if (CellIndex(kCells[i].func, kCells[i].semantics) != i) return false;
+  }
+  return std::size(kCells) == 5 * kNumSemantics;
+}
+static_assert(OneRowPerCell(), "kCells must list every cell once, in order");
 
 }  // namespace
 
 const ByTupleCell& FindByTupleCell(AggregateFunction func,
-                                   AggregateSemantics semantics,
-                                   const EngineOptions& options) {
-  for (const CellRow& row : kCells) {
-    if (row.func == func && row.semantics == semantics &&
-        (row.applies == nullptr || row.applies(options))) {
-      return row.cell;
-    }
-  }
-  if (!options.allow_naive) return kUnimplementedCell;
-  return semantics == AggregateSemantics::kDistribution ? kNaiveDistributionCell
-                                                        : kNaiveExpectedCell;
+                                   AggregateSemantics semantics) {
+  return kCells[CellIndex(func, semantics)].cell;
 }
 
 }  // namespace aqua

@@ -69,18 +69,62 @@ void RecordQueryMetrics(const std::string& cell, std::string_view outcome,
 
 /// Explain-style cell name for the nested form (which Engine::Explain does
 /// not cover; QueryStats reuses this naming for nested answers).
-std::string NestedCellName(MappingSemantics ms, AggregateSemantics as,
-                           bool allow_naive) {
+std::string NestedCellName(MappingSemantics ms, AggregateSemantics as) {
   if (ms == MappingSemantics::kByTable) {
     return "ByTableNested (evaluate the nested query per candidate), O(l*n)";
   }
   if (as == AggregateSemantics::kRange) {
     return "NestedByTupleRange (interval arithmetic over groups), O(n*m)";
   }
-  return allow_naive
-             ? "NestedByTuple (enumerate mapping sequences), O(l^n * n)"
-             : "unimplemented (no PTIME algorithm; "
-               "EngineOptions::allow_naive disabled)";
+  return "NestedByTuple (enumerate mapping sequences), O(l^n * n)";
+}
+
+Result<std::string> ExplainCell(const AggregateQuery& query,
+                                MappingSemantics mapping_semantics,
+                                AggregateSemantics aggregate_semantics) {
+  AQUA_RETURN_NOT_OK(query.Validate());
+  if (mapping_semantics == MappingSemantics::kByTable) {
+    return std::string("ByTableAggregateQuery (reformulate per candidate, "
+                       "execute, CombineResults), O(l) scans = O(l*n)");
+  }
+  return std::string(FindByTupleCell(query.func, aggregate_semantics).explain);
+}
+
+/// ExplainCell's text as QueryStats reports it.
+std::string CellName(const AggregateQuery& query, MappingSemantics ms,
+                     AggregateSemantics as) {
+  Result<std::string> cell = ExplainCell(query, ms, as);
+  return cell.ok() ? *std::move(cell) : "unknown";
+}
+
+/// The extent fields of QueryStats: wall time and the charged counters.
+void SetCharges(QueryStats* stats, int64_t wall_us, const ExecContext& ctx) {
+  stats->wall_time_us = wall_us;
+  stats->steps = ctx.steps();
+  stats->bytes = ctx.bytes();
+}
+
+bool Degraded(const AggregateAnswer& answer) { return answer.stats.degraded; }
+bool Degraded(const std::vector<GroupedAnswer>&) { return false; }
+
+/// The one tail every Answer* entry point returns through, early returns
+/// included, so that every request is counted in aqua_queries_total. On
+/// success `stamp(answer, wall_us)` fills the answer's QueryStats; then the
+/// query's metrics are recorded with `ctx`'s charges under `outcome` —
+/// "degraded" in place of "ok" when the answer was, "error" on failure.
+template <typename T, typename Stamp>
+Result<T> Finish(Result<T> result, const std::string& cell,
+                 Clock::time_point start, const ExecContext& ctx,
+                 std::string_view outcome, Stamp&& stamp) {
+  const int64_t wall = ElapsedUs(start);
+  if (!result.ok()) {
+    outcome = "error";
+  } else {
+    stamp(result.value(), wall);
+    if (outcome == "ok" && Degraded(result.value())) outcome = "degraded";
+  }
+  RecordQueryMetrics(cell, outcome, wall, ctx.steps(), ctx.bytes());
+  return result;
 }
 
 }  // namespace
@@ -89,7 +133,7 @@ Result<AggregateAnswer> Engine::AnswerByTuple(
     const AggregateQuery& query, const PMapping& pmapping,
     const Table& source, AggregateSemantics semantics, RowSpan rows,
     ExecContext* ctx, const exec::ExecPolicy& policy, int shards) const {
-  const ByTupleCell& cell = FindByTupleCell(query.func, semantics, options_);
+  const ByTupleCell& cell = FindByTupleCell(query.func, semantics);
   const size_t num_rows = source.num_rows();
   // Cells without a merge law, tables of one row, and every grouped call
   // run the 1-shard plan: the kernel inline, its partial unmerged.
@@ -101,7 +145,7 @@ Result<AggregateAnswer> Engine::AnswerByTuple(
   // The jobs capture two references so std::function stores them inline:
   // a grouped query makes one 1-shard call per group.
   const CellCall call{query, pmapping, source, semantics,
-                      options_, rows, ctx, policy};
+                      rows, ctx, policy, options_.naive};
   const ShardJob exact =
       [&cell, &call](size_t, RowSpan span, ExecContext* shard_ctx,
                      const exec::ExecPolicy& shard_policy)
@@ -118,10 +162,11 @@ Result<AggregateAnswer> Engine::AnswerByTuple(
   // rows, with a per-shard seed so degraded shards draw independent
   // streams, reshaped into the partial the cell's merge law expects.
   const ShardJob sampled =
-      [&cell, &call](size_t s, RowSpan span, ExecContext* shard_ctx,
-                     const exec::ExecPolicy& shard_policy)
+      [this, &call](size_t s, RowSpan span, ExecContext* shard_ctx,
+                    const exec::ExecPolicy& shard_policy)
       -> Result<merge::ShardPartial> {
-    SamplerOptions sampler = call.options.degrade_sampler;
+    const ByTupleCell& cell = FindByTupleCell(call.query.func, call.semantics);
+    SamplerOptions sampler = options_.degrade_sampler;
     sampler.seed ^= 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(s) + 1);
     AQUA_ASSIGN_OR_RETURN(
         SampledAnswer answer,
@@ -179,14 +224,12 @@ Result<AggregateAnswer> Engine::AnswerByTuple(
   return answer;
 }
 
-void Engine::FillCommonStats(QueryStats* stats, const AggregateQuery& query,
+void Engine::FillCommonStats(QueryStats* stats, std::string algorithm,
                              const PMapping& pmapping,
                              MappingSemantics mapping_semantics,
                              AggregateSemantics aggregate_semantics,
                              uint64_t rows) const {
-  Result<std::string> cell =
-      ExplainCell(query, mapping_semantics, aggregate_semantics);
-  stats->algorithm = cell.ok() ? *std::move(cell) : "unknown";
+  stats->algorithm = std::move(algorithm);
   stats->mapping_semantics = MappingSemanticsToString(mapping_semantics);
   stats->aggregate_semantics = AggregateSemanticsToString(aggregate_semantics);
   stats->rows = rows;
@@ -199,7 +242,7 @@ void Engine::FillCommonStats(QueryStats* stats, const AggregateQuery& query,
 Result<AggregateAnswer> Engine::DegradeToSampling(
     const AggregateQuery& query, const PMapping& pmapping,
     const Table& source, AggregateSemantics semantics,
-    const Status& exact_failure, CancellationToken cancel) const {
+    const Status& exact_failure, ExecContext* request) const {
   obs::TraceSpan span("Engine::DegradeToSampling");
   // An error here proves the ladder's last rung: when even the degraded
   // pass fails, the caller gets a clean Status, never a crash.
@@ -214,12 +257,12 @@ Result<AggregateAnswer> Engine::DegradeToSampling(
   // an Answer call is twice the configured budget. The sampler itself
   // truncates gracefully once it has a usable estimate (see
   // SamplerOptions::min_samples_on_budget).
-  ExecContext ctx(options_.limits, cancel);
-  AQUA_ASSIGN_OR_RETURN(
-      SampledAnswer sampled,
-      ByTupleSampler::Sample(query, pmapping, source, options_.degrade_sampler,
-                             /*rows=*/{}, &ctx,
-                             exec::ExecPolicy{options_.threads}));
+  ExecContext ctx(options_.limits, request->cancel_token());
+  Result<SampledAnswer> run = ByTupleSampler::Sample(
+      query, pmapping, source, options_.degrade_sampler, /*rows=*/{}, &ctx,
+      exec::ExecPolicy{options_.threads});
+  request->Absorb(ctx);
+  AQUA_ASSIGN_OR_RETURN(SampledAnswer sampled, std::move(run));
   std::string note = "degraded to sampling (" + exact_failure.message() +
                      "); " + std::to_string(sampled.num_samples) + " samples";
   if (sampled.truncated) note += " (budget-truncated)";
@@ -250,14 +293,10 @@ Result<AggregateAnswer> Engine::DegradeToSampling(
   }
   answer.approximate = true;
   answer.note = std::move(note);
-  // Sampling-pass stats; the caller adds the exact pass's charges and the
-  // request-shaped fields on top.
   answer.stats.degraded = true;
   answer.stats.degrade_reason = exact_failure.ToString();
   answer.stats.samples = sampled.num_samples;
   answer.stats.sampler_seed = options_.degrade_sampler.seed;
-  answer.stats.steps = ctx.steps();
-  answer.stats.bytes = ctx.bytes();
   return answer;
 }
 
@@ -267,72 +306,45 @@ Result<AggregateAnswer> Engine::Answer(
     AggregateSemantics aggregate_semantics, CancellationToken cancel) const {
   obs::TraceSpan span("Engine::Answer");
   const auto start = Clock::now();
-  AQUA_RETURN_NOT_OK(query.Validate());
-  if (!query.group_by.empty()) {
-    return Status::InvalidArgument(
-        "grouped query passed to Engine::Answer; use AnswerGrouped");
-  }
-  const std::string cell =
-      CellLabel(query.func, mapping_semantics, aggregate_semantics);
-  if (mapping_semantics == MappingSemantics::kByTable) {
-    Result<AggregateAnswer> answer =
-        ByTable::Answer(query, pmapping, source, aggregate_semantics);
-    const int64_t wall = ElapsedUs(start);
-    if (answer.ok()) {
-      FillCommonStats(&answer.value().stats, query, pmapping,
-                      mapping_semantics, aggregate_semantics,
-                      source.num_rows());
-      answer.value().stats.wall_time_us = wall;
-    }
-    RecordQueryMetrics(cell, answer.ok() ? "ok" : "error", wall, 0, 0);
-    return answer;
-  }
   ExecContext ctx(options_.limits, cancel);
-  Result<AggregateAnswer> exact = [&]() -> Result<AggregateAnswer> {
-    // error(resource-exhausted) here deterministically drives the
-    // exact-to-sampler degradation edge without needing a tight budget.
-    AQUA_FAILPOINT("core/engine/exact");
-    return AnswerByTuple(query, pmapping, source, aggregate_semantics,
-                         /*rows=*/{}, &ctx,
-                         exec::ExecPolicy{options_.threads}, options_.shards);
+  Result<AggregateAnswer> answer = [&]() -> Result<AggregateAnswer> {
+    AQUA_RETURN_NOT_OK(query.Validate());
+    if (!query.group_by.empty()) {
+      return Status::InvalidArgument(
+          "grouped query passed to Engine::Answer; use AnswerGrouped");
+    }
+    if (mapping_semantics == MappingSemantics::kByTable) {
+      return ByTable::Answer(query, pmapping, source, aggregate_semantics,
+                             &ctx);
+    }
+    Result<AggregateAnswer> exact = [&]() -> Result<AggregateAnswer> {
+      // error(resource-exhausted) here deterministically drives the
+      // exact-to-sampler degradation edge without needing a tight budget.
+      AQUA_FAILPOINT("core/engine/exact");
+      return AnswerByTuple(query, pmapping, source, aggregate_semantics,
+                           /*rows=*/{}, &ctx,
+                           exec::ExecPolicy{options_.threads},
+                           options_.shards);
+    }();
+    if (exact.ok() || options_.degrade == DegradePolicy::kOff ||
+        !DegradableFailure(exact.status())) {
+      return exact;
+    }
+    return DegradeToSampling(query, pmapping, source, aggregate_semantics,
+                             exact.status(), &ctx);
   }();
-  if (exact.ok()) {
-    const int64_t wall = ElapsedUs(start);
-    QueryStats& stats = exact.value().stats;
-    FillCommonStats(&stats, query, pmapping, mapping_semantics,
-                    aggregate_semantics, source.num_rows());
-    stats.wall_time_us = wall;
-    stats.steps = ctx.steps();
-    stats.bytes = ctx.bytes();
-    // Shard-local degradation produces a flagged-approximate answer on
-    // the "exact" pass; the outcome label follows the stats.
-    RecordQueryMetrics(cell, stats.degraded ? "degraded" : "ok", wall,
-                       stats.steps, stats.bytes);
-    return exact;
-  }
-  if (options_.degrade == DegradePolicy::kOff ||
-      !DegradableFailure(exact.status())) {
-    RecordQueryMetrics(cell, "error", ElapsedUs(start), ctx.steps(),
-                       ctx.bytes());
-    return exact;
-  }
-  Result<AggregateAnswer> degraded = DegradeToSampling(
-      query, pmapping, source, aggregate_semantics, exact.status(), cancel);
-  const int64_t wall = ElapsedUs(start);
-  if (!degraded.ok()) {
-    RecordQueryMetrics(cell, "error", wall, ctx.steps(), ctx.bytes());
-    return degraded;
-  }
-  QueryStats& stats = degraded.value().stats;
-  // DegradeToSampling recorded the sampling pass; add the exact pass's
-  // charges so the stats cover both, then the request-shaped fields.
-  stats.steps += ctx.steps();
-  stats.bytes += ctx.bytes();
-  FillCommonStats(&stats, query, pmapping, mapping_semantics,
-                  aggregate_semantics, source.num_rows());
-  stats.wall_time_us = wall;
-  RecordQueryMetrics(cell, "degraded", wall, stats.steps, stats.bytes);
-  return degraded;
+  // The stats cover both passes when degraded: the sampling pass's charges
+  // were added to ctx.
+  return Finish(std::move(answer),
+                CellLabel(query.func, mapping_semantics, aggregate_semantics),
+                start, ctx, "ok", [&](AggregateAnswer& a, int64_t wall) {
+                  FillCommonStats(&a.stats,
+                                  CellName(query, mapping_semantics,
+                                           aggregate_semantics),
+                                  pmapping, mapping_semantics,
+                                  aggregate_semantics, source.num_rows());
+                  SetCharges(&a.stats, wall, ctx);
+                });
 }
 
 Result<AggregateAnswer> Engine::AnswerForcedSample(
@@ -341,30 +353,30 @@ Result<AggregateAnswer> Engine::AnswerForcedSample(
     CancellationToken cancel) const {
   obs::TraceSpan span("Engine::AnswerForcedSample");
   const auto start = Clock::now();
-  AQUA_RETURN_NOT_OK(query.Validate());
-  if (!query.group_by.empty()) {
-    return Status::InvalidArgument(
-        "grouped query passed to Engine::AnswerForcedSample; shed grouped "
-        "requests with a retryable error instead");
-  }
-  const std::string cell =
-      CellLabel(query.func, MappingSemantics::kByTuple, aggregate_semantics);
-  // Reuse the degrade ladder wholesale: a shed request is a degradation
-  // whose "budget failure" was decided before any work ran.
-  Result<AggregateAnswer> sampled =
-      DegradeToSampling(query, pmapping, source, aggregate_semantics,
-                        Status::ResourceExhausted(reason), cancel);
-  const int64_t wall = ElapsedUs(start);
-  if (!sampled.ok()) {
-    RecordQueryMetrics(cell, "error", wall, 0, 0);
-    return sampled;
-  }
-  QueryStats& stats = sampled.value().stats;
-  FillCommonStats(&stats, query, pmapping, MappingSemantics::kByTuple,
-                  aggregate_semantics, source.num_rows());
-  stats.wall_time_us = wall;
-  RecordQueryMetrics(cell, "shed", wall, stats.steps, stats.bytes);
-  return sampled;
+  ExecContext ctx(options_.limits, cancel);
+  Result<AggregateAnswer> sampled = [&]() -> Result<AggregateAnswer> {
+    AQUA_RETURN_NOT_OK(query.Validate());
+    if (!query.group_by.empty()) {
+      return Status::InvalidArgument(
+          "grouped query passed to Engine::AnswerForcedSample; shed grouped "
+          "requests with a retryable error instead");
+    }
+    // Reuse the degrade ladder wholesale: a shed request is a degradation
+    // whose "budget failure" was decided before any work ran.
+    return DegradeToSampling(query, pmapping, source, aggregate_semantics,
+                             Status::ResourceExhausted(reason), &ctx);
+  }();
+  return Finish(
+      std::move(sampled),
+      CellLabel(query.func, MappingSemantics::kByTuple, aggregate_semantics),
+      start, ctx, "shed", [&](AggregateAnswer& a, int64_t wall) {
+        FillCommonStats(&a.stats,
+                        CellName(query, MappingSemantics::kByTuple,
+                                 aggregate_semantics),
+                        pmapping, MappingSemantics::kByTuple,
+                        aggregate_semantics, source.num_rows());
+        SetCharges(&a.stats, wall, ctx);
+      });
 }
 
 Result<std::vector<GroupedAnswer>> Engine::AnswerGrouped(
@@ -373,126 +385,115 @@ Result<std::vector<GroupedAnswer>> Engine::AnswerGrouped(
     AggregateSemantics aggregate_semantics, CancellationToken cancel) const {
   obs::TraceSpan span("Engine::AnswerGrouped");
   const auto start = Clock::now();
-  AQUA_RETURN_NOT_OK(query.Validate());
-  if (query.group_by.empty()) {
-    return Status::InvalidArgument(
-        "ungrouped query passed to Engine::AnswerGrouped; use Answer");
-  }
-  const std::string cell =
-      CellLabel(query.func, mapping_semantics, aggregate_semantics);
-  if (mapping_semantics == MappingSemantics::kByTable) {
-    Result<std::vector<GroupedAnswer>> grouped =
-        ByTable::AnswerGrouped(query, pmapping, source, aggregate_semantics);
-    const int64_t wall = ElapsedUs(start);
-    if (grouped.ok()) {
-      for (GroupedAnswer& g : grouped.value()) {
-        FillCommonStats(&g.answer.stats, query, pmapping, mapping_semantics,
-                        aggregate_semantics, source.num_rows());
-        g.answer.stats.wall_time_us = wall;
-      }
-    }
-    RecordQueryMetrics(cell, grouped.ok() ? "ok" : "error", wall, 0, 0);
-    return grouped;
-  }
-  if (query.having.has_value()) {
-    return Status::Unimplemented(
-        "HAVING under by-tuple semantics would make group membership "
-        "probabilistic; use by-table semantics");
-  }
-  if (!pmapping.IsCertainTarget(query.group_by)) {
-    return Status::Unimplemented(
-        "by-tuple grouped aggregation requires a certain GROUP BY "
-        "attribute; '" +
-        query.group_by + "' maps differently across candidate mappings");
-  }
-  AQUA_ASSIGN_OR_RETURN(std::string source_attr,
-                        pmapping.mapping(0).SourceFor(query.group_by));
-  AQUA_ASSIGN_OR_RETURN(size_t col, source.schema().IndexOf(source_attr));
-  AQUA_ASSIGN_OR_RETURN(GroupIndex index, GroupIndex::Build(source, col));
-  std::vector<std::vector<uint32_t>> group_rows(index.num_groups());
-  for (size_t r = 0; r < source.num_rows(); ++r) {
-    group_rows[index.row_groups()[r]].push_back(static_cast<uint32_t>(r));
-  }
-  AggregateQuery ungrouped = query;
-  ungrouped.group_by.clear();
-  // Surface binding errors (unmapped attributes, incomparable literals)
-  // once, up front: the per-group loop below treats kInvalidArgument as
-  // "this group's aggregate is undefined" and would silently drop every
-  // group otherwise.
-  AQUA_RETURN_NOT_OK(
-      TupleScan::Bind(ungrouped, ungrouped.func, pmapping, source).status());
-  // Compute the per-group stats template once: every group runs the same
-  // algorithm cell against the same p-mapping.
-  QueryStats stats_template;
-  FillCommonStats(&stats_template, ungrouped, pmapping, mapping_semantics,
-                  aggregate_semantics, 0);
-  // One budget covers the whole grouped query: ParallelFor splits the
-  // remaining budget across groups proportionally to group size (the
-  // shares sum exactly to the total), each group charges its own child
-  // context, and at the join the children are absorbed back — so the
-  // per-group stats are race-free and sum exactly to ctx's totals, serial
-  // or concurrent. Groups are the parallel axis; the per-group algorithms
-  // run under the serial policy.
+  // One budget covers the whole grouped query.
   ExecContext ctx(options_.limits, cancel);
-  std::vector<std::optional<GroupedAnswer>> slots(index.num_groups());
-  std::vector<uint64_t> weights(index.num_groups());
-  for (size_t g = 0; g < index.num_groups(); ++g) {
-    weights[g] = std::max<uint64_t>(1, group_rows[g].size());
-  }
-  const Status status = exec::ParallelFor(
-      exec::ExecPolicy{options_.threads}, index.num_groups(),
-      /*chunk_size=*/1, &ctx,
-      [&](const exec::Chunk& chunk, ExecContext* child) -> Status {
-        const size_t g = chunk.begin;
-        const auto group_start = Clock::now();
-        Result<AggregateAnswer> answer =
-            AnswerByTuple(ungrouped, pmapping, source, aggregate_semantics,
-                          &group_rows[g], child, exec::ExecPolicy{},
-                          /*shards=*/1);
-        if (!answer.ok()) {
-          // Groups where the aggregate is undefined under every sequence
-          // (no tuple ever satisfies) are omitted, like SQL omits empty
-          // groups.
-          if (answer.status().code() == StatusCode::kInvalidArgument) {
-            return Status::OK();
+  Result<std::vector<GroupedAnswer>> grouped =
+      [&]() -> Result<std::vector<GroupedAnswer>> {
+    AQUA_RETURN_NOT_OK(query.Validate());
+    if (query.group_by.empty()) {
+      return Status::InvalidArgument(
+          "ungrouped query passed to Engine::AnswerGrouped; use Answer");
+    }
+    if (mapping_semantics == MappingSemantics::kByTable) {
+      return ByTable::AnswerGrouped(query, pmapping, source,
+                                    aggregate_semantics, &ctx);
+    }
+    if (query.having.has_value()) {
+      return Status::Unimplemented(
+          "HAVING under by-tuple semantics would make group membership "
+          "probabilistic; use by-table semantics");
+    }
+    AQUA_ASSIGN_OR_RETURN(
+        CertainGroups groups,
+        PartitionByCertainGroup(query.group_by, pmapping, source));
+    AggregateQuery ungrouped = query;
+    ungrouped.group_by.clear();
+    // Surface binding errors (unmapped attributes, incomparable literals)
+    // once, up front: the per-group loop below treats kInvalidArgument as
+    // "this group's aggregate is undefined" and would silently drop every
+    // group otherwise.
+    AQUA_RETURN_NOT_OK(
+        TupleScan::Bind(ungrouped, ungrouped.func, pmapping, source).status());
+    // Compute the per-group stats template once: every group runs the same
+    // algorithm cell against the same p-mapping.
+    QueryStats stats_template;
+    FillCommonStats(&stats_template,
+                    CellName(ungrouped, mapping_semantics, aggregate_semantics),
+                    pmapping, mapping_semantics, aggregate_semantics, 0);
+    // ParallelFor splits the remaining budget across groups proportionally
+    // to group size (the shares sum exactly to the total), each group
+    // charges its own child context, and at the join the children are
+    // absorbed back — so the per-group stats are race-free and sum exactly
+    // to ctx's totals, serial or concurrent. Groups are the parallel axis;
+    // the per-group algorithms run under the serial policy.
+    const size_t num_groups = groups.rows.size();
+    std::vector<std::optional<GroupedAnswer>> slots(num_groups);
+    std::vector<uint64_t> weights(num_groups);
+    for (size_t g = 0; g < num_groups; ++g) {
+      weights[g] = std::max<uint64_t>(1, groups.rows[g].size());
+    }
+    AQUA_RETURN_NOT_OK(exec::ParallelFor(
+        exec::ExecPolicy{options_.threads}, num_groups, /*chunk_size=*/1,
+        &ctx,
+        [&](const exec::Chunk& chunk, ExecContext* child) -> Status {
+          const size_t g = chunk.begin;
+          const auto group_start = Clock::now();
+          Result<AggregateAnswer> answer =
+              AnswerByTuple(ungrouped, pmapping, source, aggregate_semantics,
+                            &groups.rows[g], child, exec::ExecPolicy{},
+                            /*shards=*/1);
+          if (!answer.ok()) {
+            // Groups where the aggregate is undefined under every sequence
+            // (no tuple ever satisfies) are omitted, like SQL omits empty
+            // groups.
+            if (answer.status().code() == StatusCode::kInvalidArgument) {
+              return Status::OK();
+            }
+            return answer.status();
           }
-          return answer.status();
+          AggregateAnswer group_answer = std::move(answer).value();
+          QueryStats& stats = group_answer.stats;
+          stats = stats_template;
+          stats.rows = groups.rows[g].size();
+          SetCharges(&stats, ElapsedUs(group_start), *child);
+          slots[g] = GroupedAnswer{groups.values[g], std::move(group_answer)};
+          return Status::OK();
+        },
+        &weights));
+    std::vector<GroupedAnswer> out;
+    out.reserve(num_groups);
+    // The grouped budget partitions exactly: every step a group charged
+    // was carved out of this query's budget and absorbed back at the join,
+    // so the per-group stats can never account for more work than the
+    // query's own counters (groups omitted as undefined charge but record
+    // nothing, hence <=, with equality when no group was omitted).
+    uint64_t group_steps = 0;
+    for (std::optional<GroupedAnswer>& slot : slots) {
+      if (!slot.has_value()) continue;
+      group_steps += slot->answer.stats.steps;
+      out.push_back(*std::move(slot));
+    }
+    AQUA_DCHECK(group_steps <= ctx.steps())
+        << "per-group stats account for " << group_steps
+        << " steps, query charged only " << ctx.steps();
+    return out;
+  }();
+  return Finish(
+      std::move(grouped),
+      CellLabel(query.func, mapping_semantics, aggregate_semantics), start,
+      ctx, "ok", [&](std::vector<GroupedAnswer>& groups, int64_t wall) {
+        // By-tuple groups carry their own stats. By-table groups share the
+        // l scans, so each reports the whole query's, like its wall time.
+        if (mapping_semantics != MappingSemantics::kByTable) return;
+        for (GroupedAnswer& g : groups) {
+          FillCommonStats(&g.answer.stats,
+                          CellName(query, mapping_semantics,
+                                   aggregate_semantics),
+                          pmapping, mapping_semantics, aggregate_semantics,
+                          source.num_rows());
+          SetCharges(&g.answer.stats, wall, ctx);
         }
-        AggregateAnswer group_answer = std::move(answer).value();
-        QueryStats& stats = group_answer.stats;
-        stats = stats_template;
-        stats.rows = group_rows[g].size();
-        stats.wall_time_us = ElapsedUs(group_start);
-        stats.steps = child->steps();
-        stats.bytes = child->bytes();
-        slots[g] = GroupedAnswer{index.group_values()[g],
-                                 std::move(group_answer)};
-        return Status::OK();
-      },
-      &weights);
-  if (!status.ok()) {
-    RecordQueryMetrics(cell, "error", ElapsedUs(start), ctx.steps(),
-                       ctx.bytes());
-    return status;
-  }
-  std::vector<GroupedAnswer> out;
-  out.reserve(index.num_groups());
-  // The grouped budget partitions exactly: every step a group charged was
-  // carved out of this query's budget and absorbed back at the join, so
-  // the per-group stats can never account for more work than the query's
-  // own counters (groups omitted as undefined charge but record nothing,
-  // hence <=, with equality when no group was omitted).
-  uint64_t group_steps = 0;
-  for (std::optional<GroupedAnswer>& slot : slots) {
-    if (!slot.has_value()) continue;
-    group_steps += slot->answer.stats.steps;
-    out.push_back(*std::move(slot));
-  }
-  AQUA_DCHECK(group_steps <= ctx.steps())
-      << "per-group stats account for " << group_steps
-      << " steps, query charged only " << ctx.steps();
-  RecordQueryMetrics(cell, "ok", ElapsedUs(start), ctx.steps(), ctx.bytes());
-  return out;
+      });
 }
 
 Result<AggregateAnswer> Engine::AnswerNested(
@@ -501,85 +502,45 @@ Result<AggregateAnswer> Engine::AnswerNested(
     AggregateSemantics aggregate_semantics, CancellationToken cancel) const {
   obs::TraceSpan span("Engine::AnswerNested");
   const auto start = Clock::now();
-  AQUA_RETURN_NOT_OK(query.Validate());
-  const std::string cell =
-      "nested/" + CellLabel(query.outer, mapping_semantics,
-                            aggregate_semantics);
-  // Shared epilogue: stamp the stats (nested cells are not covered by
-  // Engine::Explain, so the cell name comes from NestedCellName) and
-  // record the per-query metrics.
-  const auto finish = [&](Result<AggregateAnswer> answer,
-                          const ExecContext* ctx) {
-    const int64_t wall = ElapsedUs(start);
-    if (answer.ok()) {
-      QueryStats& stats = answer.value().stats;
-      stats.algorithm = NestedCellName(mapping_semantics, aggregate_semantics,
-                                       options_.allow_naive);
-      stats.mapping_semantics = MappingSemanticsToString(mapping_semantics);
-      stats.aggregate_semantics =
-          AggregateSemanticsToString(aggregate_semantics);
-      stats.wall_time_us = wall;
-      stats.rows = source.num_rows();
-      stats.mappings = pmapping.size();
-      stats.limit_timeout_ms = options_.limits.timeout_ms;
-      stats.limit_steps = options_.limits.max_steps;
-      stats.limit_bytes = options_.limits.max_bytes;
-      if (ctx != nullptr) {
-        stats.steps = ctx->steps();
-        stats.bytes = ctx->bytes();
-      }
-    }
-    RecordQueryMetrics(cell, answer.ok() ? "ok" : "error", wall,
-                       ctx == nullptr ? 0 : ctx->steps(),
-                       ctx == nullptr ? 0 : ctx->bytes());
-    return answer;
-  };
-  if (mapping_semantics == MappingSemantics::kByTable) {
-    return finish(
-        ByTable::AnswerNested(query, pmapping, source, aggregate_semantics),
-        nullptr);
-  }
   ExecContext ctx(options_.limits, cancel);
-  auto answer = [&]() -> Result<AggregateAnswer> {
-    switch (aggregate_semantics) {
-    case AggregateSemantics::kRange: {
+  Result<AggregateAnswer> answer = [&]() -> Result<AggregateAnswer> {
+    AQUA_RETURN_NOT_OK(query.Validate());
+    if (mapping_semantics == MappingSemantics::kByTable) {
+      return ByTable::AnswerNested(query, pmapping, source,
+                                   aggregate_semantics, &ctx);
+    }
+    if (aggregate_semantics == AggregateSemantics::kRange) {
       AQUA_ASSIGN_OR_RETURN(
           Interval r,
           NestedByTuple::Range(query, pmapping, source, &ctx,
                                exec::ExecPolicy{options_.threads}));
       return AggregateAnswer::MakeRange(r);
     }
-    case AggregateSemantics::kDistribution: {
-      if (!options_.allow_naive) {
-        return Status::Unimplemented(
-            "by-tuple nested distribution requires naive enumeration; "
-            "enable EngineOptions::allow_naive");
-      }
-      AQUA_ASSIGN_OR_RETURN(
-          NaiveAnswer naive,
-          NestedByTuple::NaiveDist(query, pmapping, source, options_.naive,
-                                   &ctx));
+    AQUA_ASSIGN_OR_RETURN(
+        NaiveAnswer naive,
+        NestedByTuple::NaiveDist(query, pmapping, source, options_.naive,
+                                 &ctx));
+    if (aggregate_semantics == AggregateSemantics::kDistribution) {
       AQUA_ASSIGN_OR_RETURN(Distribution d,
                             DefinedDistribution(std::move(naive)));
       return AggregateAnswer::MakeDistribution(std::move(d));
     }
-    case AggregateSemantics::kExpectedValue: {
-      if (!options_.allow_naive) {
-        return Status::Unimplemented(
-            "by-tuple nested expected value requires naive enumeration; "
-            "enable EngineOptions::allow_naive");
-      }
-      AQUA_ASSIGN_OR_RETURN(
-          NaiveAnswer naive,
-          NestedByTuple::NaiveDist(query, pmapping, source, options_.naive,
-                                   &ctx));
-      AQUA_ASSIGN_OR_RETURN(double e, DefinedExpectation(naive));
-      return AggregateAnswer::MakeExpected(e);
-    }
-    }
-    return Status::Internal("corrupt semantics");
+    AQUA_ASSIGN_OR_RETURN(double e, DefinedExpectation(naive));
+    return AggregateAnswer::MakeExpected(e);
   }();
-  return finish(std::move(answer), &ctx);
+  // Nested cells are not covered by Engine::Explain, so the cell name
+  // comes from NestedCellName.
+  return Finish(
+      std::move(answer),
+      "nested/" +
+          CellLabel(query.outer, mapping_semantics, aggregate_semantics),
+      start, ctx, "ok", [&](AggregateAnswer& a, int64_t wall) {
+        FillCommonStats(&a.stats,
+                        NestedCellName(mapping_semantics, aggregate_semantics),
+                        pmapping, mapping_semantics, aggregate_semantics,
+                        source.num_rows());
+        SetCharges(&a.stats, wall, ctx);
+      });
 }
 
 Result<std::string> Engine::Explain(
@@ -596,18 +557,6 @@ Result<std::string> Engine::Explain(
         "approximate";
   }
   return text;
-}
-
-Result<std::string> Engine::ExplainCell(
-    const AggregateQuery& query, MappingSemantics mapping_semantics,
-    AggregateSemantics aggregate_semantics) const {
-  AQUA_RETURN_NOT_OK(query.Validate());
-  if (mapping_semantics == MappingSemantics::kByTable) {
-    return std::string("ByTableAggregateQuery (reformulate per candidate, "
-                       "execute, CombineResults), O(l) scans = O(l*n)");
-  }
-  return std::string(
-      FindByTupleCell(query.func, aggregate_semantics, options_).explain);
 }
 
 Result<AggregateAnswer> Engine::AnswerSql(

@@ -1,6 +1,7 @@
 #ifndef AQUA_CORE_ENGINE_H_
 #define AQUA_CORE_ENGINE_H_
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -39,9 +40,8 @@ struct EngineOptions {
   ExecLimits limits;
 
   /// Degradation policy when `limits` expire mid-computation. Applies to
-  /// ungrouped by-tuple queries; grouped and nested queries are enforced
-  /// but never degraded (no sampler covers them), and by-table evaluation
-  /// is cheap enough that it runs ungoverned.
+  /// ungrouped by-tuple queries; by-table, grouped and nested queries are
+  /// enforced but never degraded (no sampler covers them).
   DegradePolicy degrade = DegradePolicy::kOff;
 
   /// Sampler configuration for the degraded pass.
@@ -63,40 +63,14 @@ struct EngineOptions {
   /// (each under its own child ExecContext, degrading to sampling on its
   /// own when `degrade` allows), and merge the partials with the exact
   /// combination laws in core/merge.h. Only cells with a merge law shard
-  /// (COUNT everything; SUM range/expected; MIN/MAX distribution/expected
-  /// when `minmax_distribution_exact`); the rest, and every grouped query,
-  /// run as one shard. 1 = off.
+  /// (COUNT everything; SUM range/expected; MIN/MAX distribution/expected);
+  /// the rest, and every grouped query, run as one shard. 1 = off.
   int shards = 1;
-
-  /// When false, semantics combinations with no PTIME algorithm (by-tuple
-  /// distribution/expected value for SUM/AVG/MIN/MAX, per the paper's
-  /// Figure 6) fail with kUnimplemented instead of falling back to naive
-  /// enumeration.
-  bool allow_naive = true;
-
-  /// Use the paper's AVG-range formula (§IV-B) instead of the tight one.
-  /// They coincide whenever every satisfiable tuple satisfies under all
-  /// mappings (all of the paper's workloads).
-  bool avg_range_paper = false;
-
-  /// Compute by-tuple expected COUNT by first building the full count
-  /// distribution (O(mn + n^2)), as the paper does, instead of the direct
-  /// O(nm) linearity-of-expectation path. Figure 9's ByTupleExpValCOUNT
-  /// curve is reproduced with this on.
-  bool count_expected_via_distribution = false;
-
-  /// Use this repository's exact polynomial algorithm for the by-tuple
-  /// distribution / expected value of MIN and MAX (CDF factorisation over
-  /// independent tuples, O(nm log nm)) — cells the paper's Figure 6 marks
-  /// open. When false those cells fall back to naive enumeration, matching
-  /// the paper's prototype.
-  bool minmax_distribution_exact = true;
 };
 
-/// Facade over all six aggregate-query semantics: picks the right
-/// algorithm for each (operator, mapping semantics, aggregate semantics)
-/// cell of the paper's Figure 6 and falls back to naive enumeration
-/// (guarded) for the open cells.
+/// Facade over all six aggregate-query semantics: runs the one algorithm of
+/// each (operator, mapping semantics, aggregate semantics) cell of the
+/// paper's Figure 6 — guarded naive enumeration for the open cells.
 class Engine {
  public:
   explicit Engine(EngineOptions options = {}) : options_(options) {}
@@ -106,8 +80,9 @@ class Engine {
   /// Answers an ungrouped aggregate query over `source` (the instance of
   /// the p-mapping's source relation). Every Answer* overload takes an
   /// optional cancellation token; a default-constructed token can never
-  /// fire. The call is governed by `options().limits` and, on budget
-  /// exhaustion, subject to `options().degrade`.
+  /// fire. Every call is governed by `options().limits` (by-table charges
+  /// one step per row per candidate mapping) and an ungrouped by-tuple
+  /// call, on budget exhaustion, is subject to `options().degrade`.
   Result<AggregateAnswer> Answer(const AggregateQuery& query,
                                  const PMapping& pmapping, const Table& source,
                                  MappingSemantics mapping_semantics,
@@ -161,9 +136,8 @@ class Engine {
 
   /// Names the algorithm `Answer` would run for this (operator, mapping
   /// semantics, aggregate semantics) cell and its asymptotic cost, e.g.
-  /// "ByTuplePDCOUNT, O(m*n + n^2)". Reports the naive fallback (and its
-  /// exponential cost) for the open cells when `allow_naive` is set, and
-  /// the kUnimplemented outcome otherwise. Useful for tooling and for
+  /// "ByTuplePDCOUNT, O(m*n + n^2)", or the naive enumeration (and its
+  /// exponential cost) for the open cells. Useful for tooling and for
   /// teaching the complexity matrix (paper Figure 6).
   Result<std::string> Explain(const AggregateQuery& query,
                               MappingSemantics mapping_semantics,
@@ -194,22 +168,19 @@ class Engine {
 
   /// Re-answers an ungrouped by-tuple query with the Monte-Carlo sampler
   /// after the exact pass failed with `exact_failure` (a budget error),
-  /// under a fresh budget of the same size.
+  /// under a fresh budget of the same size whose charges are then added to
+  /// `request`, the call's own context.
   Result<AggregateAnswer> DegradeToSampling(const AggregateQuery& query,
                                             const PMapping& pmapping,
                                             const Table& source,
                                             AggregateSemantics semantics,
                                             const Status& exact_failure,
-                                            CancellationToken cancel) const;
+                                            ExecContext* request) const;
 
-  Result<std::string> ExplainCell(const AggregateQuery& query,
-                                  MappingSemantics mapping_semantics,
-                                  AggregateSemantics aggregate_semantics) const;
-
-  /// Fills the request-shaped QueryStats fields (algorithm cell via
-  /// ExplainCell, semantics strings, rows, mappings). Wall time and the
+  /// Fills the request-shaped QueryStats fields: the algorithm cell, the
+  /// semantics strings, rows, mappings and limits. Wall time and the
   /// charged counters are the caller's job.
-  void FillCommonStats(QueryStats* stats, const AggregateQuery& query,
+  void FillCommonStats(QueryStats* stats, std::string algorithm,
                        const PMapping& pmapping,
                        MappingSemantics mapping_semantics,
                        AggregateSemantics aggregate_semantics,

@@ -2,6 +2,8 @@
 #define AQUA_CORE_NAIVE_H_
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "aqua/common/exec_context.h"
@@ -40,6 +42,23 @@ Result<Distribution> DefinedDistribution(NaiveAnswer answer);
 /// The expected value of `answer` under the same rule: an aggregate that
 /// is undefined with positive probability has no unconditional mean.
 Result<double> DefinedExpectation(const NaiveAnswer& answer);
+
+struct TupleMappingGrid;
+
+/// The paper's §IV-B enumeration, shared by the flat and the nested naive
+/// algorithms: visits every one of the grid's l^n mapping sequences
+/// (`seq[i]` is the mapping tuple i takes) and adds Pr(sequence) — the
+/// product of `grid.prob[seq[i]]` in ascending i — to the mass of
+/// `outcome(seq)`, or to the undefined mass where that is nullopt. It
+/// refuses more than `options.max_sequences` sequences up front
+/// (kResourceExhausted), polls `ctx` before the first, charges one step per
+/// sequence and the outcome map's growth as bytes. An empty grid has
+/// exactly one sequence, the empty one.
+Result<NaiveAnswer> EnumerateSequences(
+    const TupleMappingGrid& grid, const NaiveOptions& options,
+    ExecContext* ctx,
+    const std::function<std::optional<double>(const std::vector<size_t>&)>&
+        outcome);
 
 /// The generic exponential by-tuple algorithm (paper §IV-B): enumerate all
 /// l^n mapping sequences, evaluate the aggregate per sequence, and

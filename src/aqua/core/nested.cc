@@ -1,7 +1,6 @@
 #include "aqua/core/nested.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "aqua/common/check.h"
@@ -11,32 +10,28 @@
 #include "aqua/query/executor.h"
 
 namespace aqua {
-namespace {
 
-/// Resolves the (certain) inner GROUP BY attribute and partitions rows by
-/// group.
-Result<std::vector<std::vector<uint32_t>>> PartitionByGroup(
-    const NestedAggregateQuery& query, const PMapping& pmapping,
-    const Table& source) {
-  const std::string& group_attr = query.inner.group_by;
-  if (!pmapping.IsCertainTarget(group_attr)) {
+Result<CertainGroups> PartitionByCertainGroup(const std::string& group_by,
+                                              const PMapping& pmapping,
+                                              const Table& source) {
+  if (!pmapping.IsCertainTarget(group_by)) {
     return Status::Unimplemented(
-        "by-tuple nested aggregation requires a certain GROUP BY attribute; "
-        "'" +
-        group_attr + "' maps differently across candidate mappings");
+        "by-tuple grouped aggregation requires a certain GROUP BY "
+        "attribute; '" +
+        group_by + "' maps differently across candidate mappings");
   }
   AQUA_ASSIGN_OR_RETURN(std::string source_attr,
-                        pmapping.mapping(0).SourceFor(group_attr));
+                        pmapping.mapping(0).SourceFor(group_by));
   AQUA_ASSIGN_OR_RETURN(size_t col, source.schema().IndexOf(source_attr));
   AQUA_ASSIGN_OR_RETURN(GroupIndex index, GroupIndex::Build(source, col));
-  std::vector<std::vector<uint32_t>> groups(index.num_groups());
+  CertainGroups groups;
+  groups.values = index.group_values();
+  groups.rows.resize(index.num_groups());
   for (size_t r = 0; r < source.num_rows(); ++r) {
-    groups[index.row_groups()[r]].push_back(static_cast<uint32_t>(r));
+    groups.rows[index.row_groups()[r]].push_back(static_cast<uint32_t>(r));
   }
   return groups;
 }
-
-}  // namespace
 
 Result<Interval> NestedByTuple::Range(const NestedAggregateQuery& query,
                                       const PMapping& pmapping,
@@ -44,17 +39,18 @@ Result<Interval> NestedByTuple::Range(const NestedAggregateQuery& query,
                                       const exec::ExecPolicy& policy) {
   obs::TraceSpan span("NestedByTuple::Range");
   AQUA_RETURN_NOT_OK(query.Validate());
-  AQUA_ASSIGN_OR_RETURN(std::vector<std::vector<uint32_t>> groups,
-                        PartitionByGroup(query, pmapping, source));
+  AQUA_ASSIGN_OR_RETURN(
+      CertainGroups partition,
+      PartitionByCertainGroup(query.inner.group_by, pmapping, source));
+  const std::vector<std::vector<uint32_t>>& groups = partition.rows;
 
   AggregateQuery inner = query.inner;
   inner.group_by.clear();
   AQUA_ASSIGN_OR_RETURN(
       TupleScan scan, TupleScan::Bind(inner, inner.func, pmapping, source));
   // The inner aggregate's by-tuple range cell, run once per group.
-  const EngineOptions options;
   const ByTupleCell& range_cell =
-      FindByTupleCell(inner.func, AggregateSemantics::kRange, options);
+      FindByTupleCell(inner.func, AggregateSemantics::kRange);
   // One task per group; slot g stays empty when group g never qualifies
   // under any sequence. The parent's remaining budget is split across
   // groups proportionally to group size.
@@ -102,8 +98,9 @@ Result<Interval> NestedByTuple::Range(const NestedAggregateQuery& query,
         AQUA_ASSIGN_OR_RETURN(
             merge::ShardPartial inner_range,
             range_cell.kernel(CellCall{inner, pmapping, source,
-                                       AggregateSemantics::kRange, options,
-                                       &rows, child, exec::ExecPolicy{}}));
+                                       AggregateSemantics::kRange, &rows,
+                                       child, exec::ExecPolicy{},
+                                       /*naive=*/{}}));
         slots[g] = inner_range.range;
         return Status::OK();
       },
@@ -136,94 +133,38 @@ Result<NaiveAnswer> NestedByTuple::NaiveDist(const NestedAggregateQuery& query,
                                              ExecContext* ctx) {
   obs::TraceSpan span("NestedByTuple::NaiveDist");
   AQUA_RETURN_NOT_OK(query.Validate());
-  AQUA_ASSIGN_OR_RETURN(std::vector<std::vector<uint32_t>> group_rows,
-                        PartitionByGroup(query, pmapping, source));
+  AQUA_ASSIGN_OR_RETURN(
+      CertainGroups partition,
+      PartitionByCertainGroup(query.inner.group_by, pmapping, source));
   AggregateQuery inner = query.inner;
   inner.group_by.clear();
   AQUA_ASSIGN_OR_RETURN(
       TupleMappingGrid grid,
       BuildTupleMappingGrid(inner, pmapping, source, /*rows=*/{}));
-  const size_t n = grid.n;
-  const size_t m = grid.m;
-  double log_sequences =
-      static_cast<double>(n) * std::log2(static_cast<double>(m));
-  if (m == 1) log_sequences = 0.0;
-  if (log_sequences >
-      std::log2(static_cast<double>(options.max_sequences)) + 1e-9) {
-    return Status::ResourceExhausted(
-        "naive nested enumeration would visit " + std::to_string(m) + "^" +
-        std::to_string(n) + " sequences, over the budget");
-  }
-  AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
-
   // Row -> group id for the per-sequence grouped fold.
-  std::vector<int32_t> row_group(n, -1);
-  for (size_t g = 0; g < group_rows.size(); ++g) {
-    for (uint32_t r : group_rows[g]) row_group[r] = static_cast<int32_t>(g);
+  std::vector<uint32_t> row_group(grid.n);
+  for (size_t g = 0; g < partition.rows.size(); ++g) {
+    for (uint32_t r : partition.rows[g]) {
+      row_group[r] = static_cast<uint32_t>(g);
+    }
   }
-
-  NaiveAnswer answer;
-  std::vector<size_t> seq(n, 0);
-  struct GroupAcc {
-    int64_t count = 0;
-    double sum = 0.0, mn = 0.0, mx = 0.0;
-  };
-  std::vector<GroupAcc> accs(group_rows.size());
-  while (true) {
-    AQUA_RETURN_NOT_OK(ExecCharge(ctx, 1));
-    double prob = 1.0;
-    for (auto& a : accs) a = GroupAcc{};
-    for (size_t i = 0; i < n; ++i) {
-      const size_t j = seq[i];
-      prob *= grid.prob[j];
-      if (!grid.Sat(i, j)) continue;
-      GroupAcc& a = accs[row_group[i]];
-      const double v = grid.Val(i, j);
-      ++a.count;
-      a.sum += v;
-      if (a.count == 1) {
-        a.mn = a.mx = v;
-      } else {
-        a.mn = std::min(a.mn, v);
-        a.mx = std::max(a.mx, v);
-      }
-    }
-    std::vector<double> group_values;
-    for (const GroupAcc& a : accs) {
-      if (a.count == 0) continue;  // group vanished in this sequence
-      switch (inner.func) {
-        case AggregateFunction::kCount:
-          group_values.push_back(static_cast<double>(a.count));
-          break;
-        case AggregateFunction::kSum:
-          group_values.push_back(a.sum);
-          break;
-        case AggregateFunction::kAvg:
-          group_values.push_back(a.sum / static_cast<double>(a.count));
-          break;
-        case AggregateFunction::kMin:
-          group_values.push_back(a.mn);
-          break;
-        case AggregateFunction::kMax:
-          group_values.push_back(a.mx);
-          break;
-      }
-    }
-    const std::optional<double> outcome =
-        Executor::Fold(query.outer, group_values);
-    if (outcome.has_value()) {
-      answer.distribution.AddMass(*outcome, prob);
-    } else {
-      answer.undefined_mass += prob;
-    }
-    size_t pos = 0;
-    while (pos < n && ++seq[pos] == m) {
-      seq[pos] = 0;
-      ++pos;
-    }
-    if (pos == n) break;
-  }
-  return answer;
+  std::vector<AggregateFold> folds(partition.rows.size());
+  std::vector<double> group_values;
+  return EnumerateSequences(
+      grid, options, ctx, [&](const std::vector<size_t>& seq) {
+        std::fill(folds.begin(), folds.end(), AggregateFold{});
+        for (size_t i = 0; i < grid.n; ++i) {
+          if (grid.Sat(i, seq[i])) {
+            folds[row_group[i]].Add(grid.Val(i, seq[i]));
+          }
+        }
+        // A group with no qualifying tuple vanishes in this sequence.
+        group_values.clear();
+        for (const AggregateFold& fold : folds) {
+          if (fold.count > 0) group_values.push_back(*fold.Finish(inner.func));
+        }
+        return Executor::Fold(query.outer, group_values);
+      });
 }
 
 }  // namespace aqua

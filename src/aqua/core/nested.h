@@ -1,6 +1,10 @@
 #ifndef AQUA_CORE_NESTED_H_
 #define AQUA_CORE_NESTED_H_
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "aqua/common/exec_context.h"
 #include "aqua/common/interval.h"
 #include "aqua/core/naive.h"
@@ -10,6 +14,20 @@
 #include "aqua/storage/table.h"
 
 namespace aqua {
+
+/// The rows of a table partitioned by a certain GROUP BY attribute.
+struct CertainGroups {
+  std::vector<Value> values;                // group value, by group id
+  std::vector<std::vector<uint32_t>> rows;  // ascending row ids, by group id
+};
+
+/// Partitions `source` by the target attribute `group_by`, numbering groups
+/// in order of first appearance (as GroupIndex does). By-tuple grouping
+/// needs the attribute certain — mapped identically by every candidate —
+/// or group membership itself would be probabilistic (kUnimplemented).
+Result<CertainGroups> PartitionByCertainGroup(const std::string& group_by,
+                                              const PMapping& pmapping,
+                                              const Table& source);
 
 /// By-tuple evaluation of the paper's nested form (its query Q2) — part of
 /// the future work the paper sketches in §VII, implemented here.

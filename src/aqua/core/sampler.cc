@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 
 #include "aqua/common/check.h"
@@ -10,6 +11,7 @@
 #include "aqua/core/tuple_scan.h"
 #include "aqua/obs/trace.h"
 #include "aqua/prob/discrete_sampler.h"
+#include "aqua/query/executor.h"
 
 namespace aqua {
 namespace {
@@ -75,48 +77,17 @@ Result<SampledAnswer> ByTupleSampler::Sample(const AggregateQuery& query,
             return Status::OK();  // partial chunk; the merge decides
           }
           ++acc.drawn;
-          int64_t count = 0;
-          double sum = 0.0;
-          double mn = 0.0, mx = 0.0;
+          AggregateFold fold;
           for (size_t i = 0; i < grid.n; ++i) {
             const size_t j = mapping_sampler.Sample(rng);
-            if (!grid.Sat(i, j)) continue;
-            const double v = grid.Val(i, j);
-            ++count;
-            sum += v;
-            if (count == 1) {
-              mn = mx = v;
-            } else {
-              mn = std::min(mn, v);
-              mx = std::max(mx, v);
-            }
+            if (grid.Sat(i, j)) fold.Add(grid.Val(i, j));
           }
-          double outcome = 0.0;
-          bool defined = true;
-          switch (query.func) {
-            case AggregateFunction::kCount:
-              outcome = static_cast<double>(count);
-              break;
-            case AggregateFunction::kSum:
-              outcome = sum;
-              break;
-            case AggregateFunction::kAvg:
-              defined = count > 0;
-              if (defined) outcome = sum / static_cast<double>(count);
-              break;
-            case AggregateFunction::kMin:
-              defined = count > 0;
-              outcome = mn;
-              break;
-            case AggregateFunction::kMax:
-              defined = count > 0;
-              outcome = mx;
-              break;
-          }
-          if (!defined) {
+          const std::optional<double> value = fold.Finish(query.func);
+          if (!value.has_value()) {
             ++acc.undefined;
             continue;
           }
+          const double outcome = *value;
           acc.freq[outcome] += 1;
           acc.sum_outcomes += outcome;
           acc.sum_sq += outcome * outcome;

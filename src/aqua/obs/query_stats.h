@@ -24,8 +24,8 @@ struct QueryStats {
   int64_t wall_time_us = 0;
 
   /// Steps and bytes charged to the ExecContext — the same counters the
-  /// resource governor enforces budgets on. Zero for the ungoverned
-  /// by-table paths, which never charge.
+  /// resource governor enforces budgets on. By-table answers charge one
+  /// step per source row per candidate mapping.
   uint64_t steps = 0;
   uint64_t bytes = 0;
 

@@ -86,7 +86,7 @@ Result<GroupIndex> GroupIndex::Build(const Table& table, size_t column) {
 
 namespace {
 
-/// Streaming accumulator for one aggregate function over doubles.
+/// The aggregate fold plus the DISTINCT filter in front of it.
 class Accumulator {
  public:
   explicit Accumulator(AggregateFunction func, bool distinct)
@@ -94,47 +94,18 @@ class Accumulator {
 
   void Add(double v) {
     if (distinct_ && !seen_.insert(v).second) return;
-    ++count_;
-    sum_ += v;
-    min_ = count_ == 1 ? v : std::min(min_, v);
-    max_ = count_ == 1 ? v : std::max(max_, v);
+    fold_.Add(v);
   }
 
   /// Counts a row for COUNT(*) (no attribute value involved).
-  void AddRow() { ++count_; }
+  void AddRow() { ++fold_.count; }
 
-  std::optional<double> Finish() const {
-    if (func_ == AggregateFunction::kCount) {
-      return static_cast<double>(count_);
-    }
-    // Deviation from SQL: SUM over an empty qualifying set is 0, not NULL,
-    // matching the paper's ByTupleRangeSUM (its Figure 4 returns [0, 0]
-    // when nothing satisfies) so that by-table and by-tuple semantics
-    // agree on the edge case and Theorem 4 holds without caveats.
-    if (func_ == AggregateFunction::kSum) return sum_;
-    if (count_ == 0) return std::nullopt;
-    switch (func_) {
-      case AggregateFunction::kSum:
-        return sum_;
-      case AggregateFunction::kAvg:
-        return sum_ / static_cast<double>(count_);
-      case AggregateFunction::kMin:
-        return min_;
-      case AggregateFunction::kMax:
-        return max_;
-      case AggregateFunction::kCount:
-        break;
-    }
-    return std::nullopt;
-  }
+  std::optional<double> Finish() const { return fold_.Finish(func_); }
 
  private:
   AggregateFunction func_;
   bool distinct_;
-  int64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  AggregateFold fold_;
   std::unordered_set<double> seen_;
 };
 
@@ -299,9 +270,9 @@ Result<std::optional<double>> Executor::ExecuteNested(
 
 std::optional<double> Executor::Fold(AggregateFunction func,
                                      const std::vector<double>& values) {
-  Accumulator acc(func, /*distinct=*/false);
-  for (double v : values) acc.Add(v);
-  return acc.Finish();
+  AggregateFold fold;
+  for (double v : values) fold.Add(v);
+  return fold.Finish(func);
 }
 
 }  // namespace aqua

@@ -1,8 +1,10 @@
 #ifndef AQUA_QUERY_EXECUTOR_H_
 #define AQUA_QUERY_EXECUTOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "aqua/common/result.h"
@@ -35,6 +37,51 @@ class GroupIndex {
   std::vector<int32_t> row_groups_;
   std::vector<Value> group_values_;
 };
+
+/// The one per-value aggregate rule: COUNT, SUM, running MIN and MAX over
+/// the values added so far, finished with SQL's empty-set cases. The
+/// executor folds each group with it; the naive enumerator and the sampler
+/// fold each mapping sequence with it. Trivially copyable, so a fresh fold
+/// per sequence or per sample costs four stores.
+struct AggregateFold {
+  int64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+
+  void Add(double v) {
+    ++count;
+    sum += v;
+    min = count == 1 ? v : std::min(min, v);
+    max = count == 1 ? v : std::max(max, v);
+  }
+
+  /// The aggregate's value, or nullopt where SQL makes it NULL: AVG, MIN
+  /// and MAX of nothing. COUNT of nothing is 0 and — a deviation from SQL
+  /// — so is SUM, matching the paper's ByTupleRangeSUM (its Figure 4
+  /// returns [0, 0] when nothing satisfies) so that by-table and by-tuple
+  /// semantics agree on the edge case and Theorem 4 holds without caveats.
+  std::optional<double> Finish(AggregateFunction func) const {
+    switch (func) {
+      case AggregateFunction::kCount:
+        return static_cast<double>(count);
+      case AggregateFunction::kSum:
+        return sum;
+      case AggregateFunction::kAvg:
+        if (count == 0) return std::nullopt;
+        return sum / static_cast<double>(count);
+      case AggregateFunction::kMin:
+        if (count == 0) return std::nullopt;
+        return min;
+      case AggregateFunction::kMax:
+        if (count == 0) return std::nullopt;
+        return max;
+    }
+    return std::nullopt;
+  }
+};
+
+static_assert(std::is_trivially_copyable_v<AggregateFold>);
 
 /// Deterministic (certain-schema) aggregate evaluation. This is the
 /// substrate that the by-table semantics calls once per candidate mapping —

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "aqua/core/by_tuple_count.h"
+#include "aqua/core/by_tuple_sum.h"
 #include "aqua/core/naive.h"
 #include "aqua/query/parser.h"
 #include "aqua/workload/ebay.h"
@@ -49,117 +51,106 @@ TEST_F(EngineFixture, AllThirtySemanticsCellsAnswer) {
   }
 }
 
-TEST_F(EngineFixture, OpenCellsFailWithoutNaive) {
-  EngineOptions opts;
-  opts.allow_naive = false;
-  opts.minmax_distribution_exact = false;  // reproduce the paper's matrix
-  const Engine strict(opts);
-  // Per the paper's Figure 6 the open by-tuple cells are: SUM/dist,
-  // AVG/dist, AVG/expected, MIN/dist, MIN/expected, MAX/dist, MAX/expected.
+// The paper's Figure 6 by-tuple matrix, one algorithm per cell: the open
+// cells (SUM/dist, AVG/dist, AVG/expected) enumerate sequences, MIN/MAX
+// distribution and expected value run the CDF extension, and the rest run
+// their PTIME algorithm.
+TEST_F(EngineFixture, Figure6MatrixNamesOneAlgorithmPerCell) {
   struct Cell {
     const char* sql;
     AggregateSemantics semantics;
+    const char* algorithm;
   };
-  const Cell open_cells[] = {
-      {"SELECT SUM(price) FROM T2", AggregateSemantics::kDistribution},
-      {"SELECT AVG(price) FROM T2", AggregateSemantics::kDistribution},
-      {"SELECT AVG(price) FROM T2", AggregateSemantics::kExpectedValue},
-      {"SELECT MIN(price) FROM T2", AggregateSemantics::kDistribution},
-      {"SELECT MIN(price) FROM T2", AggregateSemantics::kExpectedValue},
-      {"SELECT MAX(price) FROM T2", AggregateSemantics::kDistribution},
-      {"SELECT MAX(price) FROM T2", AggregateSemantics::kExpectedValue},
+  constexpr const char* kNaive = "NaiveByTuple";
+  constexpr const char* kCdf = "CDF factorisation";
+  const Cell cells[] = {
+      {"SELECT COUNT(*) FROM T2", AggregateSemantics::kRange,
+       "ByTupleRangeCOUNT"},
+      {"SELECT COUNT(*) FROM T2", AggregateSemantics::kDistribution,
+       "ByTuplePDCOUNT"},
+      {"SELECT COUNT(*) FROM T2", AggregateSemantics::kExpectedValue,
+       "ByTupleExpValCOUNT"},
+      {"SELECT SUM(price) FROM T2", AggregateSemantics::kRange,
+       "ByTupleRangeSUM"},
+      {"SELECT SUM(price) FROM T2", AggregateSemantics::kDistribution, kNaive},
+      {"SELECT SUM(price) FROM T2", AggregateSemantics::kExpectedValue,
+       "ByTupleExpValSUM"},
+      {"SELECT AVG(price) FROM T2", AggregateSemantics::kRange,
+       "ByTupleRangeAVG"},
+      {"SELECT AVG(price) FROM T2", AggregateSemantics::kDistribution, kNaive},
+      {"SELECT AVG(price) FROM T2", AggregateSemantics::kExpectedValue,
+       kNaive},
+      {"SELECT MIN(price) FROM T2", AggregateSemantics::kRange,
+       "ByTupleRangeMIN"},
+      {"SELECT MIN(price) FROM T2", AggregateSemantics::kDistribution, kCdf},
+      {"SELECT MIN(price) FROM T2", AggregateSemantics::kExpectedValue, kCdf},
+      {"SELECT MAX(price) FROM T2", AggregateSemantics::kRange,
+       "ByTupleRangeMAX"},
+      {"SELECT MAX(price) FROM T2", AggregateSemantics::kDistribution, kCdf},
+      {"SELECT MAX(price) FROM T2", AggregateSemantics::kExpectedValue, kCdf},
   };
-  for (const Cell& cell : open_cells) {
+  for (const Cell& cell : cells) {
     const AggregateQuery q = *SqlParser::ParseSimple(cell.sql);
-    const auto a = strict.Answer(q, pm2_, ds2_, MappingSemantics::kByTuple,
-                                 cell.semantics);
-    ASSERT_FALSE(a.ok()) << cell.sql;
-    EXPECT_EQ(a.status().code(), StatusCode::kUnimplemented) << cell.sql;
-  }
-  // The PTIME cells still answer.
-  const Cell ptime_cells[] = {
-      {"SELECT COUNT(*) FROM T2", AggregateSemantics::kDistribution},
-      {"SELECT COUNT(*) FROM T2", AggregateSemantics::kExpectedValue},
-      {"SELECT SUM(price) FROM T2", AggregateSemantics::kRange},
-      {"SELECT SUM(price) FROM T2", AggregateSemantics::kExpectedValue},
-      {"SELECT AVG(price) FROM T2", AggregateSemantics::kRange},
-      {"SELECT MIN(price) FROM T2", AggregateSemantics::kRange},
-      {"SELECT MAX(price) FROM T2", AggregateSemantics::kRange},
-  };
-  for (const Cell& cell : ptime_cells) {
-    const AggregateQuery q = *SqlParser::ParseSimple(cell.sql);
-    EXPECT_TRUE(strict
-                    .Answer(q, pm2_, ds2_, MappingSemantics::kByTuple,
-                            cell.semantics)
-                    .ok())
-        << cell.sql;
+    const auto name =
+        engine_.Explain(q, MappingSemantics::kByTuple, cell.semantics);
+    ASSERT_TRUE(name.ok()) << cell.sql;
+    EXPECT_NE(name->find(cell.algorithm), std::string::npos)
+        << cell.sql << " " << AggregateSemanticsToString(cell.semantics)
+        << " -> " << *name;
+    // Only the open cells enumerate.
+    EXPECT_EQ(name->find(kNaive) != std::string::npos,
+              cell.algorithm == kNaive)
+        << cell.sql << " -> " << *name;
   }
 }
 
 TEST_F(EngineFixture, ExactMinMaxDistributionClosesOpenCells) {
-  // With the default options the engine answers MIN/MAX distribution and
-  // expected value *without* naive enumeration, via the CDF
-  // factorisation extension — even when naive is disabled.
-  EngineOptions opts;
-  opts.allow_naive = false;
-  const Engine engine(opts);
+  // The engine answers MIN/MAX distribution and expected value without
+  // naive enumeration, via the CDF factorisation extension.
   for (const char* sql :
        {"SELECT MIN(price) FROM T2", "SELECT MAX(price) FROM T2"}) {
     const AggregateQuery q = *SqlParser::ParseSimple(sql);
     for (auto as : {AggregateSemantics::kDistribution,
                     AggregateSemantics::kExpectedValue}) {
       const auto a =
-          engine.Answer(q, pm2_, ds2_, MappingSemantics::kByTuple, as);
+          engine_.Answer(q, pm2_, ds2_, MappingSemantics::kByTuple, as);
       EXPECT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
     }
   }
   // And the answers agree with naive enumeration.
-  const Engine naive_engine;
   const AggregateQuery q = *SqlParser::ParseSimple("SELECT MAX(price) FROM T2");
-  EngineOptions naive_opts;
-  naive_opts.minmax_distribution_exact = false;
-  const Engine via_naive(naive_opts);
-  const auto exact = engine.Answer(q, pm2_, ds2_, MappingSemantics::kByTuple,
-                                   AggregateSemantics::kDistribution);
-  const auto brute = via_naive.Answer(q, pm2_, ds2_,
-                                      MappingSemantics::kByTuple,
-                                      AggregateSemantics::kDistribution);
+  const auto exact = engine_.Answer(q, pm2_, ds2_, MappingSemantics::kByTuple,
+                                    AggregateSemantics::kDistribution);
+  const auto brute = NaiveByTuple::Dist(q, pm2_, ds2_);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(brute.ok());
+  EXPECT_EQ(brute->undefined_mass, 0.0);
   EXPECT_LT(Distribution::TotalVariationDistanceApprox(
                 exact->distribution, brute->distribution, 1e-9),
             1e-9);
 }
 
-TEST_F(EngineFixture, CountExpectedViaDistributionOptionAgrees) {
-  EngineOptions opts;
-  opts.count_expected_via_distribution = true;
-  const Engine derived(opts);
+TEST_F(EngineFixture, CountExpectedViaDistributionAgrees) {
   const AggregateQuery q =
       *SqlParser::ParseSimple("SELECT COUNT(*) FROM T2 WHERE price > 300");
   const auto a = engine_.Answer(q, pm2_, ds2_, MappingSemantics::kByTuple,
                                 AggregateSemantics::kExpectedValue);
-  const auto b = derived.Answer(q, pm2_, ds2_, MappingSemantics::kByTuple,
-                                AggregateSemantics::kExpectedValue);
+  const auto b = ByTupleCount::ExpectedViaDistribution(q, pm2_, ds2_);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_NEAR(a->expected_value, b->expected_value, 1e-9);
+  EXPECT_NEAR(a->expected_value, *b, 1e-9);
 }
 
-TEST_F(EngineFixture, AvgRangePaperOption) {
-  EngineOptions opts;
-  opts.avg_range_paper = true;
-  const Engine paper_engine(opts);
+TEST_F(EngineFixture, AvgRangePaperFormulaAgrees) {
   const AggregateQuery q = *SqlParser::ParseSimple("SELECT AVG(price) FROM T2");
   const auto exact = engine_.Answer(q, pm2_, ds2_, MappingSemantics::kByTuple,
                                     AggregateSemantics::kRange);
-  const auto paper = paper_engine.Answer(
-      q, pm2_, ds2_, MappingSemantics::kByTuple, AggregateSemantics::kRange);
+  const auto paper = ByTupleSum::RangeAvgPaper(q, pm2_, ds2_);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(paper.ok());
   // No WHERE clause: the two coincide.
-  EXPECT_NEAR(exact->range.low, paper->range.low, 1e-9);
-  EXPECT_NEAR(exact->range.high, paper->range.high, 1e-9);
+  EXPECT_NEAR(exact->range.low, paper->low, 1e-9);
+  EXPECT_NEAR(exact->range.high, paper->high, 1e-9);
 }
 
 TEST_F(EngineFixture, GroupedByTuple) {

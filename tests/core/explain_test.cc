@@ -56,75 +56,38 @@ TEST(ExplainTest, ByTuplePtimeCells) {
 
 TEST(ExplainTest, OpenCellsNameTheNaiveFallback) {
   const Engine engine;
-  // SUM/distribution remains open even with the extensions enabled.
+  // SUM/distribution remains open even with the extensions.
   const auto sum = engine.Explain(Query("SELECT SUM(v) FROM t"),
                                   MappingSemantics::kByTuple,
                                   AggregateSemantics::kDistribution);
   ASSERT_TRUE(sum.ok());
   EXPECT_NE(sum->find("NaiveByTuple"), std::string::npos);
   EXPECT_NE(sum->find("l^n"), std::string::npos);
-  // MAX/distribution defaults to the exact extension...
+  // MAX/distribution runs the exact extension.
   const auto max_exact = engine.Explain(Query("SELECT MAX(v) FROM t"),
                                         MappingSemantics::kByTuple,
                                         AggregateSemantics::kDistribution);
   ASSERT_TRUE(max_exact.ok());
   EXPECT_NE(max_exact->find("CDF factorisation"), std::string::npos);
-  // ...and to naive when the extension is switched off.
-  EngineOptions opts;
-  opts.minmax_distribution_exact = false;
-  const Engine paper_mode(opts);
-  const auto max_naive = paper_mode.Explain(Query("SELECT MAX(v) FROM t"),
-                                            MappingSemantics::kByTuple,
-                                            AggregateSemantics::kDistribution);
-  ASSERT_TRUE(max_naive.ok());
-  EXPECT_NE(max_naive->find("NaiveByTuple"), std::string::npos);
-}
-
-TEST(ExplainTest, OptionsChangeTheExplanation) {
-  EngineOptions opts;
-  opts.allow_naive = false;
-  opts.avg_range_paper = true;
-  opts.count_expected_via_distribution = true;
-  const Engine engine(opts);
-  EXPECT_NE(engine
-                .Explain(Query("SELECT AVG(v) FROM t"),
-                         MappingSemantics::kByTuple, AggregateSemantics::kRange)
-                ->find("paper formula"),
-            std::string::npos);
-  EXPECT_NE(engine
-                .Explain(Query("SELECT COUNT(*) FROM t"),
-                         MappingSemantics::kByTuple,
-                         AggregateSemantics::kExpectedValue)
-                ->find("via distribution"),
-            std::string::npos);
-  EXPECT_NE(engine
-                .Explain(Query("SELECT SUM(v) FROM t"),
-                         MappingSemantics::kByTuple,
-                         AggregateSemantics::kDistribution)
-                ->find("unimplemented"),
-            std::string::npos);
 }
 
 TEST(ExplainTest, GoldenSweepOverEveryCell) {
   // The full (operator x mapping semantics x aggregate semantics) matrix,
-  // pinned as exact strings with allow_naive both on and off. QueryStats
+  // pinned as exact strings. QueryStats
   // reuses these texts verbatim as its `algorithm` field, so any drift
   // here is an observable schema change for --stats consumers.
   constexpr const char* kByTable =
       "ByTableAggregateQuery (reformulate per candidate, execute, "
       "CombineResults), O(l) scans = O(l*n)";
-  constexpr const char* kNaiveOn =
+  constexpr const char* kNaive =
       "NaiveByTuple (enumerate mapping sequences), O(l^n * n)";
-  constexpr const char* kNaiveOff =
-      "unimplemented (no PTIME algorithm; "
-      "EngineOptions::allow_naive disabled)";
   constexpr const char* kCdf =
       "exact extremum distribution via CDF factorisation "
       "(extension beyond the paper), O(n*m log(n*m))";
   struct Cell {
     const char* sql;
     AggregateSemantics semantics;
-    const char* expected;  // by-tuple; nullptr = the naive-dependent text
+    const char* expected;  // by-tuple
   };
   const Cell cells[] = {
       {"SELECT COUNT(*) FROM t", AggregateSemantics::kRange,
@@ -135,13 +98,13 @@ TEST(ExplainTest, GoldenSweepOverEveryCell) {
        "ByTupleExpValCOUNT direct (linearity of expectation), O(n*m)"},
       {"SELECT SUM(v) FROM t", AggregateSemantics::kRange,
        "ByTupleRangeSUM, O(n*m)"},
-      {"SELECT SUM(v) FROM t", AggregateSemantics::kDistribution, nullptr},
+      {"SELECT SUM(v) FROM t", AggregateSemantics::kDistribution, kNaive},
       {"SELECT SUM(v) FROM t", AggregateSemantics::kExpectedValue,
        "ByTupleExpValSUM = by-table expected value (Theorem 4), O(n*m)"},
       {"SELECT AVG(v) FROM t", AggregateSemantics::kRange,
        "ByTupleRangeAVG (tight variant), O(n*m + n log n)"},
-      {"SELECT AVG(v) FROM t", AggregateSemantics::kDistribution, nullptr},
-      {"SELECT AVG(v) FROM t", AggregateSemantics::kExpectedValue, nullptr},
+      {"SELECT AVG(v) FROM t", AggregateSemantics::kDistribution, kNaive},
+      {"SELECT AVG(v) FROM t", AggregateSemantics::kExpectedValue, kNaive},
       {"SELECT MIN(v) FROM t", AggregateSemantics::kRange,
        "ByTupleRangeMIN, O(n*m)"},
       {"SELECT MIN(v) FROM t", AggregateSemantics::kDistribution, kCdf},
@@ -151,27 +114,21 @@ TEST(ExplainTest, GoldenSweepOverEveryCell) {
       {"SELECT MAX(v) FROM t", AggregateSemantics::kDistribution, kCdf},
       {"SELECT MAX(v) FROM t", AggregateSemantics::kExpectedValue, kCdf},
   };
-  for (const bool allow_naive : {true, false}) {
-    EngineOptions opts;
-    opts.allow_naive = allow_naive;
-    const Engine engine(opts);
-    for (const Cell& cell : cells) {
-      const AggregateQuery q = Query(cell.sql);
-      // By-table: one generic plan, independent of operator and naive.
-      const auto bt =
-          engine.Explain(q, MappingSemantics::kByTable, cell.semantics);
-      ASSERT_TRUE(bt.ok()) << cell.sql;
-      EXPECT_EQ(*bt, kByTable) << cell.sql;
-      // By-tuple: the pinned per-cell text.
-      const auto e =
-          engine.Explain(q, MappingSemantics::kByTuple, cell.semantics);
-      ASSERT_TRUE(e.ok()) << cell.sql;
-      const char* expected =
-          cell.expected ? cell.expected : (allow_naive ? kNaiveOn : kNaiveOff);
-      EXPECT_EQ(*e, expected)
-          << cell.sql << " allow_naive=" << allow_naive << " semantics="
-          << AggregateSemanticsToString(cell.semantics);
-    }
+  const Engine engine;
+  for (const Cell& cell : cells) {
+    const AggregateQuery q = Query(cell.sql);
+    // By-table: one generic plan, independent of operator.
+    const auto bt =
+        engine.Explain(q, MappingSemantics::kByTable, cell.semantics);
+    ASSERT_TRUE(bt.ok()) << cell.sql;
+    EXPECT_EQ(*bt, kByTable) << cell.sql;
+    // By-tuple: the pinned per-cell text.
+    const auto e =
+        engine.Explain(q, MappingSemantics::kByTuple, cell.semantics);
+    ASSERT_TRUE(e.ok()) << cell.sql;
+    EXPECT_EQ(*e, cell.expected)
+        << cell.sql << " semantics="
+        << AggregateSemanticsToString(cell.semantics);
   }
 }
 

@@ -129,6 +129,24 @@ TEST_F(StatsFixture, MetricsRegistryCountsQueries) {
   EXPECT_GT(registry.GetCounter("aqua_steps_charged_total").value(), 0u);
 }
 
+// Requests that fail before any kernel runs still count: every return of
+// the Answer* entry points goes through one epilogue.
+TEST_F(StatsFixture, EarlyFailuresCountAsErrors) {
+  auto& registry = obs::MetricsRegistry::Default();
+  obs::Counter errors = registry.GetCounter(
+      "aqua_queries_total",
+      {{"cell", "by-tuple/COUNT/range"}, {"outcome", "error"}});
+  const uint64_t before = errors.value();
+  const AggregateQuery having = *SqlParser::ParseSimple(
+      "SELECT COUNT(*) FROM T2 GROUP BY auctionId HAVING COUNT(*) > 1");
+  const auto grouped =
+      engine_.AnswerGrouped(having, pm2_, ds2_, MappingSemantics::kByTuple,
+                            AggregateSemantics::kRange);
+  ASSERT_FALSE(grouped.ok());
+  EXPECT_EQ(grouped.status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(errors.value(), before + 1);
+}
+
 TEST_F(StatsFixture, TraceSinkCapturesEngineSpans) {
   obs::TraceSink sink;
   obs::InstallTraceSink(&sink);

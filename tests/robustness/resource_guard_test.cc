@@ -1,11 +1,12 @@
-// Tests for the kResourceExhausted guard rails: the naive enumerator's
-// sequence budget at its exact boundary, and the engine's refusal of every
-// open Figure-6 cell when naive enumeration is disallowed.
+// Tests for the resource guard rails: the naive enumerator's sequence
+// budget at its exact boundary, and the by-table answers' step budget and
+// cancellation (l*n steps: one per source row per candidate mapping).
 
 #include <gtest/gtest.h>
 
 #include "aqua/core/engine.h"
 #include "aqua/core/naive.h"
+#include "aqua/query/parser.h"
 #include "aqua/workload/ebay.h"
 
 namespace aqua {
@@ -68,47 +69,8 @@ TEST_F(ResourceGuardFixture, GuardIsCheckedBeforeEnumerating) {
   EXPECT_EQ(naive.status().code(), StatusCode::kResourceExhausted);
 }
 
-// Every open cell of the paper's Figure 6 — by-tuple SUM distribution, AVG
-// distribution, AVG expected value, and (with the exact extremum extension
-// switched off) MIN/MAX distribution and expected value — must surface as
-// kUnimplemented when naive enumeration is disallowed, not crash, loop, or
-// silently answer a different semantics.
-TEST_F(ResourceGuardFixture, OpenCellsRefuseWhenNaiveDisallowed) {
-  EngineOptions options;
-  options.allow_naive = false;
-  options.minmax_distribution_exact = false;
-  const Engine engine(options);
-
-  struct Cell {
-    AggregateFunction func;
-    AggregateSemantics semantics;
-  };
-  const Cell open_cells[] = {
-      {AggregateFunction::kSum, AggregateSemantics::kDistribution},
-      {AggregateFunction::kAvg, AggregateSemantics::kDistribution},
-      {AggregateFunction::kAvg, AggregateSemantics::kExpectedValue},
-      {AggregateFunction::kMin, AggregateSemantics::kDistribution},
-      {AggregateFunction::kMin, AggregateSemantics::kExpectedValue},
-      {AggregateFunction::kMax, AggregateSemantics::kDistribution},
-      {AggregateFunction::kMax, AggregateSemantics::kExpectedValue},
-  };
-  for (const Cell& cell : open_cells) {
-    const auto answer =
-        engine.Answer(WithFunc(cell.func), pm2_, ds2_,
-                      MappingSemantics::kByTuple, cell.semantics);
-    ASSERT_FALSE(answer.ok())
-        << AggregateFunctionToString(cell.func) << "/"
-        << AggregateSemanticsToString(cell.semantics);
-    EXPECT_EQ(answer.status().code(), StatusCode::kUnimplemented)
-        << answer.status().ToString();
-  }
-}
-
-TEST_F(ResourceGuardFixture, ClosedCellsStillAnswerWhenNaiveDisallowed) {
-  EngineOptions options;
-  options.allow_naive = false;
-  options.minmax_distribution_exact = false;
-  const Engine engine(options);
+TEST_F(ResourceGuardFixture, ClosedCellsAnswer) {
+  const Engine engine;
   // COUNT has PTIME algorithms for all three semantics; SUM keeps range
   // and expected value; ranges exist for everything.
   const auto count_dist =
@@ -127,20 +89,73 @@ TEST_F(ResourceGuardFixture, ClosedCellsStillAnswerWhenNaiveDisallowed) {
   EXPECT_TRUE(min_range.ok()) << min_range.status().ToString();
 }
 
-// allow_naive=false is an explicit "exact algorithms only" request;
-// degradation to sampling must not override it (kUnimplemented is not a
-// budget failure).
-TEST_F(ResourceGuardFixture, DegradePolicyDoesNotOverrideNaiveRefusal) {
+/// Runs every by-table entry point (plain, grouped, nested) under `engine`
+/// and `cancel`, returning each outcome's status and charged steps.
+struct ByTableOutcome {
+  const char* entry;
+  Status status;
+  uint64_t steps = 0;
+};
+
+std::vector<ByTableOutcome> AnswerByTable(const Engine& engine,
+                                          const AggregateQuery& q,
+                                          const PMapping& pm, const Table& t,
+                                          CancellationToken cancel = {}) {
+  const AggregateQuery grouped = *SqlParser::ParseSimple(
+      "SELECT MAX(price) FROM T2 GROUP BY auctionId");
+  std::vector<ByTableOutcome> out;
+  const auto plain =
+      engine.Answer(q, pm, t, MappingSemantics::kByTable,
+                    AggregateSemantics::kExpectedValue, cancel);
+  out.push_back(
+      {"Answer", plain.status(), plain.ok() ? plain->stats.steps : 0});
+  const auto groups =
+      engine.AnswerGrouped(grouped, pm, t, MappingSemantics::kByTable,
+                           AggregateSemantics::kRange, cancel);
+  out.push_back({"AnswerGrouped", groups.status(),
+                 groups.ok() && !groups->empty()
+                     ? groups->front().answer.stats.steps
+                     : 0});
+  const auto nested =
+      engine.AnswerNested(PaperQueryQ2(), pm, t, MappingSemantics::kByTable,
+                          AggregateSemantics::kRange, cancel);
+  out.push_back(
+      {"AnswerNested", nested.status(), nested.ok() ? nested->stats.steps : 0});
+  return out;
+}
+
+TEST_F(ResourceGuardFixture, ByTableChargesOneStepPerRowPerMapping) {
+  const uint64_t l_times_n = pm2_.size() * ds2_.num_rows();
+  for (const ByTableOutcome& o : AnswerByTable(Engine(), q_, pm2_, ds2_)) {
+    ASSERT_TRUE(o.status.ok()) << o.entry << ": " << o.status.ToString();
+    EXPECT_EQ(o.steps, l_times_n) << o.entry;
+  }
+}
+
+TEST_F(ResourceGuardFixture, ByTableStepBudgetBelowLTimesNIsExhausted) {
   EngineOptions options;
-  options.allow_naive = false;
-  options.degrade = DegradePolicy::kSample;
-  const Engine engine(options);
-  const auto answer =
-      engine.Answer(WithFunc(AggregateFunction::kSum), pm2_, ds2_,
-                    MappingSemantics::kByTuple,
-                    AggregateSemantics::kDistribution);
-  ASSERT_FALSE(answer.ok());
-  EXPECT_EQ(answer.status().code(), StatusCode::kUnimplemented);
+  options.limits.max_steps = pm2_.size() * ds2_.num_rows() - 1;
+  for (const ByTableOutcome& o :
+       AnswerByTable(Engine(options), q_, pm2_, ds2_)) {
+    EXPECT_EQ(o.status.code(), StatusCode::kResourceExhausted)
+        << o.entry << ": " << o.status.ToString();
+  }
+  // Exactly l*n steps is enough.
+  options.limits.max_steps = pm2_.size() * ds2_.num_rows();
+  for (const ByTableOutcome& o :
+       AnswerByTable(Engine(options), q_, pm2_, ds2_)) {
+    EXPECT_TRUE(o.status.ok()) << o.entry << ": " << o.status.ToString();
+  }
+}
+
+TEST_F(ResourceGuardFixture, ByTableHonoursCancellation) {
+  const CancellationToken cancel = CancellationToken::Make();
+  cancel.RequestCancel();
+  for (const ByTableOutcome& o :
+       AnswerByTable(Engine(), q_, pm2_, ds2_, cancel)) {
+    EXPECT_EQ(o.status.code(), StatusCode::kCancelled)
+        << o.entry << ": " << o.status.ToString();
+  }
 }
 
 }  // namespace

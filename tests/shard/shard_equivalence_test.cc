@@ -36,28 +36,6 @@ std::string Rendered(const Result<AggregateAnswer>& answer) {
   return answer.ok() ? answer->ToString() : answer.status().ToString();
 }
 
-/// One engine-flag setting per alternative row of the cell table: the
-/// defaults, each flag flipped, and the open cells without naive
-/// enumeration.
-std::vector<std::pair<std::string, EngineOptions>> FlagSettings() {
-  std::vector<std::pair<std::string, EngineOptions>> out;
-  out.emplace_back("defaults", EngineOptions{});
-  EngineOptions via_dist;
-  via_dist.count_expected_via_distribution = true;
-  out.emplace_back("count_expected_via_distribution", via_dist);
-  EngineOptions avg_paper;
-  avg_paper.avg_range_paper = true;
-  out.emplace_back("avg_range_paper", avg_paper);
-  EngineOptions naive_extremum;
-  naive_extremum.minmax_distribution_exact = false;
-  out.emplace_back("minmax_distribution_exact=false", naive_extremum);
-  EngineOptions no_naive;
-  no_naive.allow_naive = false;
-  no_naive.minmax_distribution_exact = false;
-  out.emplace_back("allow_naive=false", no_naive);
-  return out;
-}
-
 class ShardEquivalenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -88,33 +66,31 @@ TEST_F(ShardEquivalenceTest, EveryCellIsShardInvariant) {
   const AggregateSemantics semantics_list[] = {
       AggregateSemantics::kRange, AggregateSemantics::kDistribution,
       AggregateSemantics::kExpectedValue};
-  for (const auto& [label, options] : FlagSettings()) {
-    for (size_t f = 0; f < 5; ++f) {
-      for (const AggregateSemantics semantics : semantics_list) {
-        const bool shards_cell =
-            FindByTupleCell(funcs[f], semantics, options).merge != nullptr;
-        const std::string where = std::string(sqls[f]) + " [" + label + ", " +
-                                  std::string(AggregateSemanticsToString(
-                                      semantics)) +
-                                  "]";
-        const auto serial =
-            aqua::AnswerAt(sqls[f], ds2_, pm2_, options, 1, 1, semantics);
-        if (serial.ok()) {
-          EXPECT_FALSE(serial->approximate) << where;
-          EXPECT_EQ(serial->stats.shards, 0u) << where;
-        }
-        for (const int threads : {1, 2}) {
-          for (const int shards : {1, 2, 4, 8}) {
-            const auto sharded = aqua::AnswerAt(sqls[f], ds2_, pm2_, options,
-                                                shards, threads, semantics);
-            EXPECT_EQ(Rendered(sharded), Rendered(serial))
-                << where << " shards=" << shards << " threads=" << threads;
-            if (!sharded.ok()) continue;
-            EXPECT_EQ(sharded->stats.shards,
-                      shards_cell && shards > 1 ? static_cast<uint64_t>(shards)
-                                                : 0u)
-                << where << " shards=" << shards << " threads=" << threads;
-          }
+  const EngineOptions options;
+  for (size_t f = 0; f < 5; ++f) {
+    for (const AggregateSemantics semantics : semantics_list) {
+      const bool shards_cell =
+          FindByTupleCell(funcs[f], semantics).merge != nullptr;
+      const std::string where =
+          std::string(sqls[f]) + " [" +
+          std::string(AggregateSemanticsToString(semantics)) + "]";
+      const auto serial =
+          aqua::AnswerAt(sqls[f], ds2_, pm2_, options, 1, 1, semantics);
+      if (serial.ok()) {
+        EXPECT_FALSE(serial->approximate) << where;
+        EXPECT_EQ(serial->stats.shards, 0u) << where;
+      }
+      for (const int threads : {1, 2}) {
+        for (const int shards : {1, 2, 4, 8}) {
+          const auto sharded = aqua::AnswerAt(sqls[f], ds2_, pm2_, options,
+                                              shards, threads, semantics);
+          EXPECT_EQ(Rendered(sharded), Rendered(serial))
+              << where << " shards=" << shards << " threads=" << threads;
+          if (!sharded.ok()) continue;
+          EXPECT_EQ(sharded->stats.shards,
+                    shards_cell && shards > 1 ? static_cast<uint64_t>(shards)
+                                              : 0u)
+              << where << " shards=" << shards << " threads=" << threads;
         }
       }
     }
