@@ -25,8 +25,8 @@ int main(int argc, char** argv) {
       quick ? std::vector<size_t>{10'000, 25'000}
             : std::vector<size_t>{10'000, 25'000, 50'000, 100'000, 200'000};
   // The quadratic algorithms get their own (smaller) grid, as in the paper.
-  // The quick grid reaches 10k tuples because smaller DP bands fit in one
-  // or two 4096-cell chunks and so cannot show a thread speed-up.
+  // The quick grid reaches 10k tuples so that the thread sweep's parallel
+  // occurrence pass runs in several 4096-row chunks.
   const std::vector<size_t> quadratic_sizes =
       quick ? std::vector<size_t>{2'000, 5'000, 10'000}
             : std::vector<size_t>{5'000, 10'000, 20'000, 50'000};
@@ -82,9 +82,10 @@ int main(int argc, char** argv) {
     bench::Row(x, "ByTupleExpValCOUNT(direct)", bench::TimeSeconds([&] {
                  (void)ByTupleCount::Expected(count_q, w.pmapping, w.table);
                }));
-    // Parallel sweep of the quadratic DP: same query at 1/2/4/8 worker
-    // threads. The answers must be byte-identical to the serial run —
-    // the wavefront partition never depends on the thread count — so a
+    // Thread sweep of the COUNT distribution: same query at 1/2/4/8 worker
+    // threads. Only the O(n*m) occurrence pass runs in parallel (the band
+    // DP is serial), and its 4096-row chunks never depend on the thread
+    // count, so the answers must be byte-identical to the serial run; a
     // mismatch aborts the bench.
     double serial_seconds = 0.0;
     Result<Distribution> serial_dist = Status::Internal("not yet run");

@@ -1,6 +1,7 @@
 #include "aqua/common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace aqua {
@@ -51,6 +52,11 @@ std::string FormatDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
+}
+
+std::string FormatDoubleRoundTrip(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 }  // namespace aqua

@@ -25,6 +25,10 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 /// printf-style float formatting with %.6g, as used in traces and benches.
 std::string FormatDouble(double v);
 
+/// Shortest decimal form that parses back to exactly `v` (std::to_chars),
+/// e.g. 0.3 -> "0.3"; for numbers that must survive a text round trip.
+std::string FormatDoubleRoundTrip(double v);
+
 }  // namespace aqua
 
 #endif  // AQUA_COMMON_STRING_UTIL_H_

@@ -1,7 +1,7 @@
 #include "aqua/core/by_tuple_count.h"
 
-#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "aqua/common/check.h"
 #include "aqua/core/tuple_scan.h"
@@ -10,73 +10,55 @@
 namespace aqua {
 namespace {
 
-/// Tuples folded per wavefront block of the COUNT distribution DP, and
-/// cells per chunk within a block. Both are fixed constants — the
-/// partition is a pure function of the problem size, never of the thread
-/// count, which is what makes the answer bit-identical for any --threads.
-constexpr size_t kDpBlockTuples = 256;
-constexpr size_t kDpChunkCells = 4096;
-
 /// Rows per chunk of the O(n*m) occurrence-probability scan.
 constexpr size_t kOccChunkRows = 4096;
 
-/// Paranoid invariant (Theorem 2): after every wavefront block the DP row
-/// is a probability distribution — each cell in [0, 1] and the row mass 1.
-/// The recurrence preserves mass *algebraically* for any occ (occ +
-/// (1 - occ) = 1), so a drifting mass means FP corruption or a halo bug in
-/// the parallel schedule, exactly the failure TSan cannot see. Tolerance
-/// scales with the number of folds: each of the n updates contributes a
-/// few ulps of rounding on a mass of ~1.
-void ParanoidCheckDpRowMass(const std::vector<double>& row, size_t block,
-                            size_t tuples_folded) {
+/// Folded tuples between two paranoid row-mass sweeps of the COUNT DP.
+constexpr size_t kDpCheckTuples = 256;
+
+/// Two DP cells in one vector register.
+using Cells2 = double __attribute__((vector_size(16)));
+
+/// Folds a tuple into cells [lo, hi + 1] of `pd` (all others are exactly
+/// 0), descending and in place so that pd[c-1] is still the pre-tuple
+/// value. Each vector lane computes the scalar expression, so pairing the
+/// cells changes no bit; it halves the instructions, and with them the x86
+/// microcode assists that subnormal cells in the underflowing tails cost.
+void FoldTuple(double* pd, size_t lo, size_t hi, double occ) {
+  const double not_occ = 1.0 - occ;
+  const Cells2 occ2 = {occ, occ};
+  const Cells2 not_occ2 = {not_occ, not_occ};
+  const size_t first = lo == 0 ? 1 : lo;
+  size_t c = hi + 1;
+  for (; c > first; c -= 2) {  // cells c - 1 and c
+    Cells2 cur{};
+    Cells2 left{};
+    std::memcpy(&cur, pd + c - 1, sizeof(cur));
+    std::memcpy(&left, pd + c - 2, sizeof(left));
+    cur = cur * not_occ2 + left * occ2;
+    std::memcpy(pd + c - 1, &cur, sizeof(cur));
+  }
+  if (c == first) pd[c] = pd[c] * not_occ + pd[c - 1] * occ;
+  if (lo == 0) pd[0] *= not_occ;
+}
+
+/// Paranoid invariant (Theorem 2): the band [lo, hi] holds the whole row
+/// (cells outside it are exactly 0), each cell in [0, 1] and mass 1. The
+/// recurrence preserves mass algebraically (occ + (1 - occ) = 1), so drift
+/// means FP corruption or a band-tracking bug. Tolerance grows with the
+/// folds, each contributing a few ulps of rounding.
+void ParanoidCheckDpRowMass(const std::vector<double>& row, size_t lo,
+                            size_t hi, size_t tuples_folded) {
   double mass = 0.0;
-  for (const double p : row) {
-    AQUA_CHECK_PROB(p) << "(DP cell after block at tuple " << block << ")";
-    mass += p;
+  for (size_t c = lo; c <= hi; ++c) {
+    AQUA_CHECK_PROB(row[c]) << "(DP cell " << c << " after folding "
+                            << tuples_folded << " tuples)";
+    mass += row[c];
   }
   AQUA_CHECK(std::fabs(mass - 1.0) <=
              1e-9 + 1e-13 * static_cast<double>(tuples_folded))
       << "COUNT DP row mass drifted to " << mass << " after folding "
-      << tuples_folded << " tuples (block at " << block << ")";
-}
-
-/// One chunk of one wavefront block: folds `tuples` tuples (occurrence
-/// probabilities `occs[first_tuple ...]`) into cells [chunk.begin,
-/// chunk.end) of the next DP array, reading the previous array `cur`.
-///
-/// The fold is the serial recurrence run on a local window with a halo of
-/// `tuples` extra cells on the left: an in-place descending update leaves
-/// the window's leftmost cell stale, so after k tuples the cells
-/// [ext_lo, ext_lo + k) are garbage — but the garbage front advances one
-/// cell per tuple, so after `tuples` tuples the cells [chunk.begin,
-/// chunk.end) are exactly what the serial fold would have produced. Every
-/// thread count runs this same function over the same chunks, so the bits
-/// match.
-Status CountDpChunk(const std::vector<double>& occs, size_t first_tuple,
-                    size_t tuples, const exec::Chunk& chunk,
-                    const std::vector<double>& cur, std::vector<double>* nxt,
-                    ExecContext* child) {
-  const size_t lo = chunk.begin;
-  const size_t hi = chunk.end;
-  const size_t ext_lo = lo > tuples ? lo - tuples : 0;
-  const size_t len = hi - ext_lo;
-  // One step per (tuple, window cell) — the same order of work the serial
-  // DP charges, plus the halo.
-  AQUA_RETURN_NOT_OK(ExecCharge(child, tuples * len));
-  std::vector<double> buf(cur.begin() + static_cast<ptrdiff_t>(ext_lo),
-                          cur.begin() + static_cast<ptrdiff_t>(hi));
-  for (size_t k = 0; k < tuples; ++k) {
-    const double occ = occs[first_tuple + k];
-    const double not_occ = 1.0 - occ;
-    // Descending in-place update so buf[j-1] is still the pre-tuple value.
-    for (size_t j = len - 1; j >= 1; --j) {
-      buf[j] = buf[j] * not_occ + buf[j - 1] * occ;
-    }
-    if (ext_lo == 0) buf[0] *= not_occ;
-  }
-  std::copy(buf.begin() + static_cast<ptrdiff_t>(lo - ext_lo), buf.end(),
-            nxt->begin() + static_cast<ptrdiff_t>(lo));
-  return Status::OK();
+      << tuples_folded << " tuples (band [" << lo << ", " << hi << "])";
 }
 
 }  // namespace
@@ -139,35 +121,44 @@ Result<Distribution> ByTupleCount::Dist(const AggregateQuery& query,
     }
   }
 
-  // Phase 2: the quadratic recurrence — the loop the paper's Figure 9
-  // shows going intractable — as a blocked wavefront: fold kDpBlockTuples
-  // tuples per block, with the cells of each block partitioned into
-  // independent chunks (each recomputing a halo; see CountDpChunk). Cells
-  // above the number of processed tuples hold exact zeros and the
-  // recurrence keeps them zero, so folding the full band every block is
-  // the serial recurrence in a different (deterministic) schedule.
-  AQUA_RETURN_NOT_OK(ExecChargeBytes(ctx, 2 * (n + 1) * sizeof(double)));
-  std::vector<double> cur(n + 1, 0.0);
-  std::vector<double> nxt(n + 1, 0.0);
-  cur[0] = 1.0;
-  for (size_t block = 0; block < n; block += kDpBlockTuples) {
-    const size_t tuples = std::min(kDpBlockTuples, n - block);
-    const size_t cells = block + tuples + 1;
-    AQUA_RETURN_NOT_OK(exec::ParallelFor(
-        policy, cells, kDpChunkCells, ctx,
-        [&](const exec::Chunk& chunk, ExecContext* child) -> Status {
-          return CountDpChunk(occs, block, tuples, chunk, cur, &nxt, child);
-        }));
-    std::swap(cur, nxt);
-    // The check runs on the merged array after the join, so it covers the
-    // serial and every parallel schedule identically.
-    if (ParanoidChecksEnabled()) {
-      ParanoidCheckDpRowMass(cur, block, block + tuples);
+  // Phase 2: the quadratic recurrence of the paper's Figure 9 wall, over
+  // the uncertain tuples only. On finite non-negative cells an occ = 0
+  // update is x*1 + y*0 = x and an occ = 1 update is x*0 + y*1 = y, a
+  // shift by one cell: certain tuples become a count offset. Occs at
+  // 1 - eps (a float sum of mapping probabilities) stay in the DP.
+  size_t certain = 0;
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    // aqua-lint: allow(float-equality) — exact 0/1 occs are the algebraic no-op and shift; anything else folds.
+    if (occs[i] == 1.0) {
+      ++certain;
+    } else if (occs[i] != 0.0) {  // aqua-lint: allow(float-equality)
+      occs[kept++] = occs[i];
+    }
+  }
+  // A zero cell whose left neighbour is zero stays zero, so each fold
+  // updates only the live band [lo, hi] and the cell above it, by the same
+  // expression as the full recurrence; then the band sheds end cells that
+  // became exactly 0 (underflowed tails).
+  AQUA_RETURN_NOT_OK(ExecChargeBytes(ctx, (kept + 1) * sizeof(double)));
+  std::vector<double> pd(kept + 1, 0.0);
+  pd[0] = 1.0;
+  size_t lo = 0;
+  size_t hi = 0;
+  for (size_t i = 0; i < kept; ++i) {
+    AQUA_RETURN_NOT_OK(ExecCharge(ctx, hi + 2 - lo));
+    FoldTuple(pd.data(), lo, hi, occs[i]);
+    ++hi;
+    while (hi > lo && pd[hi] == 0.0) --hi;  // aqua-lint: allow(float-equality)
+    while (lo < hi && pd[lo] == 0.0) ++lo;  // aqua-lint: allow(float-equality)
+    if (ParanoidChecksEnabled() &&
+        ((i + 1) % kDpCheckTuples == 0 || i + 1 == kept)) {
+      ParanoidCheckDpRowMass(pd, lo, hi, i + 1);
     }
   }
   Distribution d;
-  for (size_t c = 0; c <= n; ++c) {
-    if (cur[c] > 0.0) d.AddMass(static_cast<double>(c), cur[c]);
+  for (size_t c = lo; c <= hi; ++c) {
+    if (pd[c] > 0.0) d.AddMass(static_cast<double>(certain + c), pd[c]);
   }
   AQUA_DCHECK(d.IsNormalized(1e-6))
       << "COUNT distribution mass " << d.TotalMass();

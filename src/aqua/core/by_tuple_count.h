@@ -33,18 +33,14 @@ class ByTupleCount {
                                 ExecContext* ctx = nullptr);
 
   /// `ByTuplePDCOUNT` (paper Figure 3): dynamic program over the count
-  /// distribution — after tuple i the count is c or c+1, so the i+1
-  /// possible values are updated in place per tuple. O(m*n + n^2); the
-  /// quadratic term is what Figure 9 of the paper shows becoming
-  /// intractable around 50k tuples. The quadratic loop charges `ctx` one
-  /// step per DP cell, so deadlines interrupt it mid-recurrence.
-  ///
-  /// `policy` controls parallel execution of the recurrence (a blocked
-  /// wavefront over the DP band; see DESIGN.md "Parallel execution"). The
-  /// partition into blocks and chunks is a pure function of the problem
-  /// size, and every cell is computed by the same expression in the same
-  /// order, so the returned distribution is bit-identical at every thread
-  /// count.
+  /// distribution — after tuple i the count is c or c+1. The paper's
+  /// O(m*n + n^2) is what its Figure 9 shows going intractable around 50k
+  /// tuples. Here tuples with occurrence probability exactly 1 become a
+  /// count offset, those at exactly 0 drop out, and the n' others fold only
+  /// the live band of non-zero cells: O(n*m + sum of band widths) <=
+  /// O(n*m + n'^2), bit-identical to the full recurrence. `ctx` is charged
+  /// n*m plus one step per cell folded. `policy` parallelises only the
+  /// O(n*m) occurrence pass; the answer is the same at every thread count.
   static Result<Distribution> Dist(const AggregateQuery& query,
                                    const PMapping& pmapping,
                                    const Table& source,
@@ -65,7 +61,7 @@ class ByTupleCount {
                                  ExecContext* ctx = nullptr);
 
   /// Expected COUNT computed by building the full distribution first —
-  /// the paper's formulation. O(m*n + n^2).
+  /// the paper's formulation, at the cost of `Dist`.
   static Result<double> ExpectedViaDistribution(
       const AggregateQuery& query, const PMapping& pmapping,
       const Table& source, RowSpan rows = {},

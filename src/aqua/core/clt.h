@@ -76,9 +76,9 @@ class ByTupleCLT {
 
   /// Approximates the by-tuple COUNT distribution (a Poisson-binomial:
   /// mean = sum of per-tuple satisfaction probabilities, variance =
-  /// sum of occ*(1-occ)). Exact algorithms exist for COUNT
-  /// (`ByTupleCount::Dist`, O(mn+n^2)); this is the O(nm) large-n
-  /// alternative benchmarked in Figure 9's ablation discussion.
+  /// sum of occ*(1-occ)). The exact `ByTupleCount::Dist` costs
+  /// O(n*m + sum of band widths) <= O(n*m + n'^2); this is the O(nm)
+  /// large-n alternative benchmarked in Figure 9's ablation discussion.
   static Result<NormalApproximation> ApproxCount(
       const AggregateQuery& query, const PMapping& pmapping,
       const Table& source, RowSpan rows = {},

@@ -48,13 +48,14 @@ struct EngineOptions {
   SamplerOptions degrade_sampler;
 
   /// Worker threads for the parallel by-tuple paths (the COUNT
-  /// distribution wavefront, the Monte-Carlo sampler, and one task per
-  /// group for grouped/nested answering). 0 = hardware concurrency;
-  /// 1 = serial on the calling thread (the shared pool is never touched).
-  /// The thread count never changes an answer: work is partitioned as a
-  /// pure function of the problem size, so exact answers are bit-identical
-  /// and sampled estimates use the same per-chunk RNG streams at every
-  /// setting.
+  /// distribution's occurrence pass — its band DP, O(n*m + sum of band
+  /// widths) <= O(n*m + n'^2), is serial — the Monte-Carlo sampler, and
+  /// one task per group for grouped/nested answering). 0 = hardware
+  /// concurrency; 1 = serial on the calling thread (the shared pool is
+  /// never touched). The thread count never changes an answer: work is
+  /// partitioned as a pure function of the problem size, so exact answers
+  /// are bit-identical and sampled estimates use the same per-chunk RNG
+  /// streams at every setting.
   int threads = 0;
 
   /// In-process fault domains for the ungrouped by-tuple pass. Values > 1

@@ -38,7 +38,8 @@ Result<PMapping> PMapping::Make(std::vector<Alternative> alternatives,
   }
   if (std::fabs(total - 1.0) > eps) {
     return Status::InvalidArgument("mapping probabilities sum to " +
-                                   FormatDouble(total) + ", expected 1");
+                                   FormatDoubleRoundTrip(total) +
+                                   ", expected 1");
   }
   PMapping pm;
   pm.alternatives_ = std::move(alternatives);

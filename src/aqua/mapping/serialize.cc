@@ -11,7 +11,7 @@ namespace aqua {
 namespace {
 
 std::string FormatCandidate(const RelationMapping& m, double prob) {
-  std::string out = "candidate " + FormatDouble(prob) + ":";
+  std::string out = "candidate " + FormatDoubleRoundTrip(prob) + ":";
   bool first = true;
   for (const Correspondence& c : m.correspondences()) {
     out += first ? " " : ", ";

@@ -1,5 +1,7 @@
 #include "aqua/common/string_util.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace aqua {
@@ -57,6 +59,15 @@ TEST(FormatDoubleTest, SixSignificantDigits) {
   EXPECT_EQ(FormatDouble(975.437), "975.437");
   EXPECT_EQ(FormatDouble(0.0576), "0.0576");
   EXPECT_EQ(FormatDouble(1000000.0), "1e+06");
+}
+
+TEST(FormatDoubleRoundTripTest, ShortestFormParsesBackExactly) {
+  EXPECT_EQ(FormatDoubleRoundTrip(0.3), "0.3");
+  EXPECT_EQ(FormatDoubleRoundTrip(1.0), "1");
+  EXPECT_EQ(FormatDoubleRoundTrip(0.1 + 0.2), "0.30000000000000004");
+  for (const double v : {0.0576, 1.0 / 3.0, 0.9999999, 1e-300, 975.437}) {
+    EXPECT_EQ(std::stod(FormatDoubleRoundTrip(v)), v) << v;
+  }
 }
 
 }  // namespace

@@ -18,27 +18,46 @@ namespace aqua {
 namespace {
 
 TEST(ParallelEquivalenceTest, CountDistributionBitIdenticalAcrossThreads) {
+  // 10k rows: the occurrence pass runs in three 4096-row chunks, and the
+  // serial band DP then folds the occs in scan order at every thread count.
+  // Synthetic data keeps every tuple uncertain; eBay prices leave most
+  // tuples certain, so the offset and the skipped tuples are covered too.
   Rng rng(99);
   SyntheticOptions opts;
-  opts.num_tuples = 5000;
+  opts.num_tuples = 10'000;
   opts.num_attributes = 10;
   opts.num_mappings = 3;
   const SyntheticWorkload w = *GenerateSyntheticWorkload(opts, rng);
-  const AggregateQuery q = w.MakeQuery(AggregateFunction::kCount);
+  Rng ebay_rng(2008);
+  const Table ebay = *GenerateEbayTable(EbayOptions{}, ebay_rng);
+  ASSERT_GT(ebay.num_rows(), 4096u * 2);
+  const PMapping ebay_pm = *MakeEbayPMapping();
+  struct Case {
+    AggregateQuery query;
+    const PMapping* pmapping;
+    const Table* table;
+  };
+  const Case cases[] = {
+      {w.MakeQuery(AggregateFunction::kCount), &w.pmapping, &w.table},
+      {*SqlParser::ParseSimple("SELECT COUNT(*) FROM T2 WHERE price < 300"),
+       &ebay_pm, &ebay},
+  };
 
-  const auto serial = ByTupleCount::Dist(q, w.pmapping, w.table);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  double mass = 0;
-  for (const auto& e : serial->entries()) mass += e.prob;
-  EXPECT_NEAR(mass, 1.0, 1e-9);
+  for (const Case& c : cases) {
+    const auto serial = ByTupleCount::Dist(c.query, *c.pmapping, *c.table);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    double mass = 0;
+    for (const auto& e : serial->entries()) mass += e.prob;
+    EXPECT_NEAR(mass, 1.0, 1e-9);
 
-  for (const int threads : {2, 3, 8}) {
-    const auto parallel =
-        ByTupleCount::Dist(q, w.pmapping, w.table, /*rows=*/nullptr,
-                           /*ctx=*/nullptr, exec::ExecPolicy{threads});
-    ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
-    // Distribution equality is exact (bit-level) on outcomes and masses.
-    EXPECT_TRUE(*parallel == *serial) << "threads=" << threads;
+    for (const int threads : {2, 3, 8}) {
+      const auto parallel =
+          ByTupleCount::Dist(c.query, *c.pmapping, *c.table, /*rows=*/nullptr,
+                             /*ctx=*/nullptr, exec::ExecPolicy{threads});
+      ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
+      // Distribution equality is exact (bit-level) on outcomes and masses.
+      EXPECT_TRUE(*parallel == *serial) << "threads=" << threads;
+    }
   }
 }
 
@@ -166,11 +185,11 @@ TEST_F(GroupedEquivalenceFixture, GroupedBudgetBlowSurfacesSameError) {
 
 TEST(ParallelDegradeTest, BudgetBlowAtEveryThreadCountDegradesIdentically) {
   // An exact COUNT-distribution pass over 2000 tuples blows a 50k-step
-  // budget in the parallel DP; with DegradePolicy::kSample the engine
-  // re-answers by sampling under a fresh budget of the same size. Both the
-  // blow (budget shares) and the sampler's truncation point are pure
-  // functions of the problem size, so the degraded answer is identical at
-  // every thread count.
+  // budget inside the band DP (the scan charges 4 000 steps, the DP would
+  // fold ~273k cells); with DegradePolicy::kSample the engine re-answers
+  // by sampling under a fresh budget of the same size. Both the blow and
+  // the sampler's truncation point are pure functions of the problem size,
+  // so the degraded answer is identical at every thread count.
   Rng rng(77);
   SyntheticOptions wopts;
   wopts.num_tuples = 2000;

@@ -36,6 +36,16 @@ TEST(PMappingTest, RejectsProbabilitiesNotSummingToOne) {
           .ok());
 }
 
+TEST(PMappingTest, SumErrorShowsTheGap) {
+  // A sum just outside the tolerance must not print as "1".
+  const auto pm = PMapping::Make(
+      {{Map("postedDate"), 0.6}, {Map("reducedDate"), 0.4 - 1e-7}});
+  ASSERT_FALSE(pm.ok());
+  const std::string msg = pm.status().message();
+  EXPECT_EQ(msg.find("sum to 1,"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("sum to 0.99999989"), std::string::npos) << msg;
+}
+
 TEST(PMappingTest, ToleranceOnSum) {
   EXPECT_TRUE(PMapping::Make({{Map("postedDate"), 0.6 + 1e-12},
                               {Map("reducedDate"), 0.4}})

@@ -4,6 +4,7 @@
 
 #include "aqua/workload/ebay.h"
 #include "aqua/workload/real_estate.h"
+#include "aqua/workload/synthetic.h"
 
 namespace aqua {
 namespace {
@@ -16,13 +17,23 @@ TEST(PMappingTextTest, FormatIsReadable) {
 }
 
 TEST(PMappingTextTest, RoundTripSingle) {
-  const PMapping original = *MakeEbayPMapping();
-  const auto parsed = PMappingText::Parse(PMappingText::Format(original));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), original.size());
-  for (size_t i = 0; i < original.size(); ++i) {
-    EXPECT_TRUE(parsed->mapping(i) == original.mapping(i));
-    EXPECT_NEAR(parsed->probability(i), original.probability(i), 1e-9);
+  // Twenty normalised random probabilities: printed to six significant
+  // digits they would lose enough mass for the parsed p-mapping to fail its
+  // sum-to-1 check, so every probability must come back bit for bit.
+  Rng rng(20);
+  SyntheticOptions opts;
+  opts.num_tuples = 10;
+  opts.num_attributes = 20;
+  opts.num_mappings = 20;
+  for (const PMapping& original :
+       {*MakeEbayPMapping(), GenerateSyntheticWorkload(opts, rng)->pmapping}) {
+    const auto parsed = PMappingText::Parse(PMappingText::Format(original));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_EQ(parsed->size(), original.size());
+    for (size_t i = 0; i < original.size(); ++i) {
+      EXPECT_TRUE(parsed->mapping(i) == original.mapping(i));
+      EXPECT_EQ(parsed->probability(i), original.probability(i)) << i;
+    }
   }
 }
 
