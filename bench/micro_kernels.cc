@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "aqua/core/by_tuple_count.h"
 #include "aqua/core/by_tuple_minmax.h"
 #include "aqua/core/by_tuple_sum.h"
@@ -42,6 +44,32 @@ void BM_PredicateEvalPerRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredicateEvalPerRow);
+
+// The same column and clause as BM_PredicateEvalPerRow, one MatchBlock of
+// kBlock rows per iteration; items are cells, so ns per cell is the
+// inverse of items_per_second.
+void BM_PredicateMatchBlock(benchmark::State& state) {
+  const SyntheticWorkload& w = Workload();
+  const auto pred = Predicate::Comparison("a0", CompareOp::kLt,
+                                          Value::Double(w.threshold));
+  const BoundPredicate bound =
+      *BoundPredicate::Bind(pred, w.table.schema());
+  constexpr size_t kBlock = BoundPredicate::kBlock;
+  const size_t blocks = w.table.num_rows() / kBlock;
+  std::vector<uint8_t> match(kBlock);
+  BoundPredicate::Scratch scratch;
+  size_t block = 0;
+  for (auto _ : state) {
+    bound.MatchBlock(w.table, /*ids=*/nullptr, block * kBlock, kBlock,
+                     match.data(), &scratch);
+    benchmark::DoNotOptimize(match.data());
+    benchmark::ClobberMemory();
+    block = (block + 1) % blocks;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kBlock));
+}
+BENCHMARK(BM_PredicateMatchBlock);
 
 const Column& ValueColumn() { return Workload().table.column(1); }
 

@@ -1,6 +1,7 @@
 #ifndef AQUA_CORE_ROW_SPAN_H_
 #define AQUA_CORE_ROW_SPAN_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -51,14 +52,14 @@ class RowSpan {
     return span;
   }
 
-  /// Invokes `fn(row)` for every visited row, in order.
+  /// Invokes `fn(ids, first, n)` for consecutive blocks of at most `block`
+  /// visited rows, in order. The block's i-th row is `ids[first + i]`, or
+  /// `first + i` when `ids` is null (a contiguous span).
   template <typename Fn>
-  void ForEach(size_t num_rows, Fn&& fn) const {
+  void ForEachBlock(size_t num_rows, size_t block, Fn&& fn) const {
     const size_t end = end_ == kToEnd ? num_rows : end_;
-    if (ids_ != nullptr) {
-      for (size_t i = begin_; i < end; ++i) fn(static_cast<size_t>(ids_[i]));
-    } else {
-      for (size_t r = begin_; r < end; ++r) fn(r);
+    for (size_t first = begin_; first < end; first += block) {
+      fn(ids_, first, std::min(block, end - first));
     }
   }
 

@@ -29,7 +29,17 @@ Result<TupleScan> TupleScan::Bind(const AggregateQuery& query,
   scan.source_ = &source;
   AQUA_ASSIGN_OR_RETURN(scan.bindings_,
                         Reformulator::BindAll(query, pmapping, source));
-  for (const auto& b : scan.bindings_) scan.prob_.push_back(b.probability);
+  for (size_t j = 0; j < scan.bindings_.size(); ++j) {
+    const BoundPredicate& predicate = scan.bindings_[j].predicate;
+    scan.prob_.push_back(scan.bindings_[j].probability);
+    size_t slot = 0;
+    while (slot < scan.distinct_.size() &&
+           !(scan.bindings_[scan.distinct_[slot]].predicate == predicate)) {
+      ++slot;
+    }
+    if (slot == scan.distinct_.size()) scan.distinct_.push_back(j);
+    scan.slot_.push_back(slot);
+  }
   return scan;
 }
 

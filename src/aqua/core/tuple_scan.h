@@ -66,15 +66,25 @@ class TupleScan {
                                 const PMapping& pmapping, const Table& source);
 
   size_t num_mappings() const { return bindings_.size(); }
+  /// Distinct bound WHERE clauses, each evaluated once per block: mappings
+  /// that bind the clause to the same columns share one.
+  size_t num_predicates() const { return distinct_.size(); }
   const std::vector<double>& probabilities() const { return prob_; }
 
   /// Charges `rows` x mappings steps to `ctx` (none when null) and polls
-  /// its deadline, then calls `fold(const TupleView&)` once per row.
+  /// its deadline, then calls `fold(const TupleView&)` once per row. The
+  /// WHERE clauses are evaluated a block of rows at a time, once per
+  /// distinct bound predicate.
   template <typename Fold>
   Status Run(RowSpan rows, ExecContext* ctx, Fold&& fold) const {
     const size_t m = bindings_.size();
-    AQUA_RETURN_NOT_OK(ExecCharge(ctx, rows.size(source_->num_rows()) * m));
+    const size_t num_rows = rows.size(source_->num_rows());
+    AQUA_RETURN_NOT_OK(ExecCharge(ctx, num_rows * m));
     AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
+    // Scratch sized once per call: a GROUP BY runs many tiny spans.
+    const size_t block = std::min(BoundPredicate::kBlock, num_rows);
+    std::vector<uint8_t> match(distinct_.size() * block);
+    BoundPredicate::Scratch scratch;
     std::vector<uint8_t> sat(m);
     std::vector<double> value(m);
     TupleView view;
@@ -82,10 +92,20 @@ class TupleScan {
     view.sat = sat.data();
     view.value = value.data();
     view.prob = prob_.data();
-    rows.ForEach(source_->num_rows(), [&](size_t r) {
-      Evaluate(r, sat.data(), value.data(), &view);
-      fold(static_cast<const TupleView&>(view));
-    });
+    rows.ForEachBlock(
+        source_->num_rows(), block,
+        [&](const uint32_t* ids, size_t first, size_t n) {
+          for (size_t p = 0; p < distinct_.size(); ++p) {
+            bindings_[distinct_[p]].predicate.MatchBlock(
+                *source_, ids, first, n, match.data() + p * block, &scratch);
+          }
+          for (size_t i = 0; i < n; ++i) {
+            const size_t r = ids != nullptr ? ids[first + i] : first + i;
+            Evaluate(r, match.data() + i, block, sat.data(), value.data(),
+                     &view);
+            fold(static_cast<const TupleView&>(view));
+          }
+        });
     return Status::OK();
   }
 
@@ -102,26 +122,31 @@ class TupleScan {
 
  private:
   /// Fills `sat`/`value` for `row` and the rest of `view` from them, in
-  /// one pass over the mappings. Inline, so that a fold which never reads
-  /// occ/vmin/vmax does not pay for them.
-  void Evaluate(size_t row, uint8_t* sat, double* value,
-                TupleView* view) const {
-    // Sums live in locals and the binding count is read once: the opaque
-    // predicate call would otherwise force them back to memory per mapping.
+  /// one pass over the mappings. `match[slot_[j] * stride]` is the row's
+  /// WHERE outcome under mapping j. Inline, so that a fold which never
+  /// reads occ/vmin/vmax does not pay for them.
+  void Evaluate(size_t row, const uint8_t* match, size_t stride,
+                uint8_t* sat, double* value, TupleView* view) const {
+    // Sums and the member arrays live in locals: the byte stores to `sat`
+    // may alias anything, and would otherwise force reloads per mapping.
     const size_t m = bindings_.size();
+    const Reformulator::MappingBinding* const bindings = bindings_.data();
+    const size_t* const slot = slot_.data();
+    const double* const prob = prob_.data();
     size_t satisfied = 0;
     double occ = 0.0;
     double vmin = 0.0;
     double vmax = 0.0;
     for (size_t j = 0; j < m; ++j) {
-      const bool s = Satisfies(j, row);
+      const Column* attribute = bindings[j].attribute;
+      const bool s = match[slot[j] * stride] != 0 &&
+                     (attribute == nullptr || !attribute->IsNull(row));
       sat[j] = s ? 1 : 0;
       value[j] = 0.0;
       if (!s) continue;
-      const Column* attribute = bindings_[j].attribute;
       const double v = attribute != nullptr ? attribute->NumericAt(row) : 0.0;
       value[j] = v;
-      occ += prob_[j];
+      occ += prob[j];
       vmin = satisfied == 0 ? v : std::min(vmin, v);
       vmax = satisfied == 0 ? v : std::max(vmax, v);
       ++satisfied;
@@ -136,6 +161,12 @@ class TupleScan {
   const Table* source_ = nullptr;
   std::vector<Reformulator::MappingBinding> bindings_;
   std::vector<double> prob_;
+  // The distinct bound predicates, as the index of the first binding that
+  // has each, and for every binding the slot of its predicate in them:
+  // mappings that bind the WHERE clause to the same columns share one
+  // block evaluation.
+  std::vector<size_t> distinct_;
+  std::vector<size_t> slot_;
 };
 
 /// The scan materialised: satisfaction flags and values for every

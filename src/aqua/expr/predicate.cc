@@ -1,5 +1,8 @@
 #include "aqua/expr/predicate.h"
 
+#include <cstring>
+#include <type_traits>
+
 namespace aqua {
 
 std::string_view CompareOpToString(CompareOp op) {
@@ -169,6 +172,132 @@ bool ApplyOp(CompareOp op, int cmp) {
   return false;
 }
 
+// Two double cells per vector register (GCC/Clang vector extensions),
+// and the integer vectors that narrow their compare masks to bytes.
+using Vec2d = double __attribute__((vector_size(16)));
+using Vec2l = int64_t __attribute__((vector_size(16)));
+using Vec4i = int32_t __attribute__((vector_size(16)));
+using Vec8s = int16_t __attribute__((vector_size(16)));
+using Vec16b = int8_t __attribute__((vector_size(16)));
+
+/// A cell's order against the literal as two masks, all ones where true
+/// and zero where false: one int64 per cell, or one vector lane per cell.
+/// `Value::Compare` returns -1 exactly where `lt`, +1 exactly where `gt`.
+template <typename M>
+struct Order {
+  M lt;
+  M gt;
+};
+
+template <typename M>
+Order<M> MakeOrder(M lt, M gt) {
+  return {lt, gt};
+}
+Order<int64_t> MakeOrder(bool lt, bool gt) {
+  return {-static_cast<int64_t>(lt), -static_cast<int64_t>(gt)};
+}
+
+/// `ApplyOp` on an order: the mask of the cells where `op` holds.
+template <CompareOp kOp, typename M>
+M Holds(const Order<M>& o) {
+  if constexpr (kOp == CompareOp::kEq) {
+    return ~(o.lt | o.gt);
+  } else if constexpr (kOp == CompareOp::kNe) {
+    return o.lt | o.gt;
+  } else if constexpr (kOp == CompareOp::kLt) {
+    return o.lt;
+  } else if constexpr (kOp == CompareOp::kLe) {
+    return ~o.gt;
+  } else if constexpr (kOp == CompareOp::kGt) {
+    return o.gt;
+  } else {
+    static_assert(kOp == CompareOp::kGe);
+    return ~o.lt;
+  }
+}
+
+/// `Value::Compare`'s rule for a mixed or double pair: the sign of the
+/// difference, so a NaN difference compares equal.
+template <typename D>
+auto DiffOrder(D x, double y) {
+  const D d = x - y;
+  return MakeOrder(d < 0.0, d > 0.0);
+}
+
+/// Sixteen 0/1 bytes, in lane order, from eight two-lane masks.
+void NarrowMasks(const Vec2l (&m)[8], Tri* out) {
+  auto half = [](Vec2l a, Vec2l b) {
+    return __builtin_shufflevector(reinterpret_cast<Vec4i>(a),
+                                   reinterpret_cast<Vec4i>(b), 0, 2, 4, 6);
+  };
+  auto quarter = [](Vec4i a, Vec4i b) {
+    return __builtin_shufflevector(reinterpret_cast<Vec8s>(a),
+                                   reinterpret_cast<Vec8s>(b), 0, 2, 4, 6, 8,
+                                   10, 12, 14);
+  };
+  const Vec8s lo = quarter(half(m[0], m[1]), half(m[2], m[3]));
+  const Vec8s hi = quarter(half(m[4], m[5]), half(m[6], m[7]));
+  const Vec16b bytes =
+      __builtin_shufflevector(reinterpret_cast<Vec16b>(lo),
+                              reinterpret_cast<Vec16b>(hi), 0, 2, 4, 6, 8, 10,
+                              12, 14, 16, 18, 20, 22, 24, 26, 28, 30) &
+      1;
+  std::memcpy(out, &bytes, sizeof bytes);
+}
+
+/// Writes TRUE where `op` holds between each of the `n` cells of `cells`
+/// at rows `ids[first + i]` (or `first + i` when `ids` is null) and the
+/// literal, FALSE elsewhere; `order(cell)` relates one cell to it. A
+/// contiguous run of doubles is ordered two cells per vector, sixteen per
+/// step, each lane computing exactly the scalar expression.
+template <CompareOp kOp, typename T, typename OrderFn>
+void CompareCells(const T* cells, const uint32_t* ids, size_t first,
+                  size_t n, Tri* out, OrderFn order) {
+  auto scalar = [&](const T& x) {
+    return Holds<kOp>(order(x)) != 0 ? Tri::kTrue : Tri::kFalse;
+  };
+  if (ids != nullptr) {
+    ids += first;
+    for (size_t i = 0; i < n; ++i) out[i] = scalar(cells[ids[i]]);
+    return;
+  }
+  cells += first;
+  size_t i = 0;
+  if constexpr (std::is_same_v<T, double>) {
+    constexpr size_t kStep = 16;
+    for (; i + kStep <= n; i += kStep) {
+      Vec2l masks[kStep / 2];
+      for (size_t k = 0; k < kStep / 2; ++k) {
+        Vec2d x;
+        std::memcpy(&x, cells + i + 2 * k, sizeof x);
+        masks[k] = Holds<kOp>(order(x));
+      }
+      NarrowMasks(masks, out + i);
+    }
+  }
+  for (; i < n; ++i) out[i] = scalar(cells[i]);
+}
+
+/// `CompareCells` with the operator fixed outside the loop.
+template <typename T, typename OrderFn>
+void CompareCells(CompareOp op, const T* cells, const uint32_t* ids,
+                  size_t first, size_t n, Tri* out, OrderFn order) {
+  switch (op) {
+    case CompareOp::kEq:
+      return CompareCells<CompareOp::kEq>(cells, ids, first, n, out, order);
+    case CompareOp::kNe:
+      return CompareCells<CompareOp::kNe>(cells, ids, first, n, out, order);
+    case CompareOp::kLt:
+      return CompareCells<CompareOp::kLt>(cells, ids, first, n, out, order);
+    case CompareOp::kLe:
+      return CompareCells<CompareOp::kLe>(cells, ids, first, n, out, order);
+    case CompareOp::kGt:
+      return CompareCells<CompareOp::kGt>(cells, ids, first, n, out, order);
+    case CompareOp::kGe:
+      return CompareCells<CompareOp::kGe>(cells, ids, first, n, out, order);
+  }
+}
+
 }  // namespace
 
 Result<int> BoundPredicate::Compile(const PredicatePtr& pred,
@@ -202,6 +331,32 @@ Result<int> BoundPredicate::Compile(const PredicatePtr& pred,
       }
       node.column = col;
       node.op = pred->op();
+      // The literal in the form the block compare reads, as
+      // `Value::Compare` would convert it.
+      switch (col_type) {
+        case ValueType::kInt64:
+          if (literal.type() == ValueType::kInt64) {
+            node.compare = CellCompare::kInt64;
+            node.int_literal = literal.int64();
+          } else {
+            node.compare = CellCompare::kIntToDouble;
+            node.double_literal = literal.dbl();
+          }
+          break;
+        case ValueType::kDouble:
+          node.compare = CellCompare::kDouble;
+          node.double_literal = literal.type() == ValueType::kInt64
+                                    ? static_cast<double>(literal.int64())
+                                    : literal.dbl();
+          break;
+        case ValueType::kDate:
+          node.compare = CellCompare::kDate;
+          node.int_literal = literal.date().days_since_epoch();
+          break;
+        default:
+          node.compare = CellCompare::kString;
+          break;
+      }
       node.literal = std::move(literal);
       break;
     }
@@ -275,6 +430,94 @@ Tri BoundPredicate::Eval(const Table& table, size_t row) const {
     }
   }
   return vals[root_];
+}
+
+void BoundPredicate::MatchBlock(const Table& table, const uint32_t* ids,
+                                size_t first, size_t n, uint8_t* out,
+                                Scratch* scratch) const {
+  if (scratch->size() < nodes_.size() * n) scratch->resize(nodes_.size() * n);
+  Tri* const vals = scratch->data();
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
+    Tri* const v = vals + i * n;
+    auto child = [&](int index) -> const Tri* {
+      return vals + static_cast<size_t>(index) * n;
+    };
+    switch (node.kind) {
+      case Predicate::Kind::kTrue:
+        std::fill(v, v + n, Tri::kTrue);
+        break;
+      case Predicate::Kind::kComparison: {
+        const Column& col = table.column(node.column);
+        const CompareOp op = node.op;
+        switch (node.compare) {
+          case CellCompare::kInt64: {
+            const int64_t y = node.int_literal;
+            CompareCells(op, col.ints().data(), ids, first, n, v,
+                         [y](int64_t x) { return MakeOrder(x < y, x > y); });
+            break;
+          }
+          case CellCompare::kIntToDouble: {
+            const double y = node.double_literal;
+            CompareCells(op, col.ints().data(), ids, first, n, v,
+                         [y](int64_t x) {
+                           return DiffOrder(static_cast<double>(x), y);
+                         });
+            break;
+          }
+          case CellCompare::kDouble: {
+            const double y = node.double_literal;
+            CompareCells(op, col.doubles().data(), ids, first, n, v,
+                         [y](auto x) { return DiffOrder(x, y); });
+            break;
+          }
+          case CellCompare::kDate: {
+            const auto y = static_cast<int32_t>(node.int_literal);
+            CompareCells(op, col.date_days().data(), ids, first, n, v,
+                         [y](int32_t x) { return MakeOrder(x < y, x > y); });
+            break;
+          }
+          case CellCompare::kString: {
+            // Views into the column's storage: no copy per cell.
+            const std::string_view y = node.literal.str();
+            CompareCells(op, col.strings().data(), ids, first, n, v,
+                         [y](const std::string& x) {
+                           const int c = std::string_view(x).compare(y);
+                           return MakeOrder(c < 0, c > 0);
+                         });
+            break;
+          }
+        }
+        if (col.has_nulls()) {
+          for (size_t k = 0; k < n; ++k) {
+            if (col.IsNull(ids != nullptr ? ids[first + k] : first + k)) {
+              v[k] = Tri::kUnknown;
+            }
+          }
+        }
+        break;
+      }
+      case Predicate::Kind::kAnd: {
+        const Tri* const l = child(node.left);
+        const Tri* const r = child(node.right);
+        for (size_t k = 0; k < n; ++k) v[k] = TriAnd(l[k], r[k]);
+        break;
+      }
+      case Predicate::Kind::kOr: {
+        const Tri* const l = child(node.left);
+        const Tri* const r = child(node.right);
+        for (size_t k = 0; k < n; ++k) v[k] = TriOr(l[k], r[k]);
+        break;
+      }
+      case Predicate::Kind::kNot: {
+        const Tri* const l = child(node.left);
+        for (size_t k = 0; k < n; ++k) v[k] = TriNot(l[k]);
+        break;
+      }
+    }
+  }
+  const Tri* const root = vals + static_cast<size_t>(root_) * n;
+  for (size_t k = 0; k < n; ++k) out[k] = root[k] == Tri::kTrue ? 1 : 0;
 }
 
 }  // namespace aqua

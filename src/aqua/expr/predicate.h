@@ -1,6 +1,8 @@
 #ifndef AQUA_EXPR_PREDICATE_H_
 #define AQUA_EXPR_PREDICATE_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -88,6 +90,13 @@ enum class Tri : uint8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
 /// evaluation does no name lookups or type dispatch on strings.
 class BoundPredicate {
  public:
+  /// Rows per `MatchBlock` call in the scans built on it.
+  static constexpr size_t kBlock = 1024;
+
+  /// Per-node truth values of one block; `MatchBlock` grows it on demand,
+  /// so a caller that reuses one across blocks allocates it once.
+  using Scratch = std::vector<Tri>;
+
   /// Resolves every attribute in `pred` against `schema` and checks that
   /// each literal is comparable with its column type.
   static Result<BoundPredicate> Bind(const PredicatePtr& pred,
@@ -102,7 +111,43 @@ class BoundPredicate {
     return Eval(table, row) == Tri::kTrue;
   }
 
+  /// `Matches` for the `n` rows `ids[first + i]` (or `first + i` when
+  /// `ids` is null): sets `out[i]` to 1 iff row i evaluates to TRUE, else
+  /// to 0. Evaluates each node once for the whole block, comparisons as
+  /// typed loops over the raw column.
+  void MatchBlock(const Table& table, const uint32_t* ids, size_t first,
+                  size_t n, uint8_t* out, Scratch* scratch) const;
+
+  /// Calls `fn(row)` for every row of `table` that evaluates to TRUE, in
+  /// row order, one `MatchBlock` per `kBlock` rows.
+  template <typename Fn>
+  void ForEachMatch(const Table& table, Fn&& fn) const {
+    uint8_t match[kBlock];
+    Scratch scratch;
+    for (size_t first = 0; first < table.num_rows(); first += kBlock) {
+      const size_t n = std::min(kBlock, table.num_rows() - first);
+      MatchBlock(table, /*ids=*/nullptr, first, n, match, &scratch);
+      for (size_t i = 0; i < n; ++i) {
+        if (match[i] != 0) fn(first + i);
+      }
+    }
+  }
+
+  /// Same compiled nodes, hence the same truth value on every row.
+  bool operator==(const BoundPredicate& other) const {
+    return root_ == other.root_ && nodes_ == other.nodes_;
+  }
+
  private:
+  // How a comparison node relates a cell to its literal, fixed at bind.
+  enum class CellCompare : uint8_t {
+    kInt64,        // int64 cell, int64 literal: integer order
+    kIntToDouble,  // int64 cell, double literal: Sign(double(x) - y)
+    kDouble,       // double cell, any numeric literal: Sign(x - double(y))
+    kDate,         // day numbers
+    kString,       // lexicographic
+  };
+
   // Flattened expression nodes, evaluated by index (children precede
   // parents; the last node is the root).
   struct Node {
@@ -111,9 +156,14 @@ class BoundPredicate {
     size_t column = 0;
     CompareOp op = CompareOp::kEq;
     Value literal;
+    CellCompare compare = CellCompare::kInt64;
+    int64_t int_literal = 0;      // kInt64, and kDate's day number
+    double double_literal = 0.0;  // kIntToDouble, kDouble
     // kAnd/kOr/kNot:
     int left = -1;
     int right = -1;
+
+    bool operator==(const Node& other) const = default;
   };
 
   Result<int> Compile(const PredicatePtr& pred, const Schema& schema);

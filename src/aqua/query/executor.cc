@@ -151,14 +151,13 @@ Result<std::optional<double>> Executor::ExecuteScalar(const AggregateQuery& q,
   }
   AQUA_ASSIGN_OR_RETURN(ResolvedQuery resolved, Resolve(q, table));
   Accumulator acc(q.func, q.distinct);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (!resolved.predicate.Matches(table, r)) continue;
+  resolved.predicate.ForEachMatch(table, [&](size_t r) {
     if (resolved.attribute == nullptr) {
       acc.AddRow();
     } else if (!resolved.attribute->IsNull(r)) {
       acc.Add(resolved.attribute->NumericAt(r));
     }
-  }
+  });
   return acc.Finish();
 }
 
@@ -200,8 +199,7 @@ Result<std::vector<Executor::GroupResult>> Executor::ExecuteGrouped(
     having_accs.assign(groups.num_groups(),
                        Accumulator(q.having->func, q.having->distinct));
   }
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (!resolved.predicate.Matches(table, r)) continue;
+  resolved.predicate.ForEachMatch(table, [&](size_t r) {
     const int32_t g = groups.row_groups()[r];
     Accumulator& acc = accs[g];
     if (resolved.attribute == nullptr) {
@@ -217,7 +215,7 @@ Result<std::vector<Executor::GroupResult>> Executor::ExecuteGrouped(
         hacc.Add(having_attr->NumericAt(r));
       }
     }
-  }
+  });
   std::vector<GroupResult> out;
   out.reserve(groups.num_groups());
   for (size_t g = 0; g < groups.num_groups(); ++g) {

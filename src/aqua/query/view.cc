@@ -48,6 +48,14 @@ Result<Table> Gather(const Table& table, const std::vector<uint32_t>& rows,
   return Table::Make(std::move(out_schema), std::move(out));
 }
 
+std::vector<uint32_t> MatchingRows(const Table& table,
+                                   const BoundPredicate& predicate) {
+  std::vector<uint32_t> rows;
+  predicate.ForEachMatch(
+      table, [&](size_t r) { rows.push_back(static_cast<uint32_t>(r)); });
+  return rows;
+}
+
 std::vector<size_t> AllColumns(const Table& table) {
   std::vector<size_t> idx(table.num_columns());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
@@ -59,11 +67,8 @@ std::vector<size_t> AllColumns(const Table& table) {
 Result<Table> View::Select(const Table& table, const PredicatePtr& predicate) {
   AQUA_ASSIGN_OR_RETURN(BoundPredicate bound,
                         BoundPredicate::Bind(predicate, table.schema()));
-  std::vector<uint32_t> rows;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (bound.Matches(table, r)) rows.push_back(static_cast<uint32_t>(r));
-  }
-  return Gather(table, rows, AllColumns(table), table.schema());
+  return Gather(table, MatchingRows(table, bound), AllColumns(table),
+                table.schema());
 }
 
 Result<Table> View::Project(const Table& table,
@@ -93,11 +98,8 @@ Result<Table> View::SelectProject(const Table& table,
     attrs.push_back(table.schema().attribute(idx));
   }
   AQUA_ASSIGN_OR_RETURN(Schema out_schema, Schema::Make(std::move(attrs)));
-  std::vector<uint32_t> rows;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (bound.Matches(table, r)) rows.push_back(static_cast<uint32_t>(r));
-  }
-  return Gather(table, rows, indices, std::move(out_schema));
+  return Gather(table, MatchingRows(table, bound), indices,
+                std::move(out_schema));
 }
 
 Result<Table> View::HashJoin(const Table& left, const Table& right,

@@ -133,20 +133,6 @@ Value Column::GetValue(size_t row) const {
   return Value::Null();
 }
 
-double Column::NumericAt(size_t row) const {
-  switch (type_) {
-    case ValueType::kInt64:
-      return static_cast<double>(ints_[row]);
-    case ValueType::kDouble:
-      return doubles_[row];
-    case ValueType::kDate:
-      return static_cast<double>(dates_[row]);
-    default:
-      assert(false && "NumericAt on non-numeric column");
-      return 0.0;
-  }
-}
-
 Result<Table> Table::Make(Schema schema, std::vector<Column> columns) {
   if (columns.size() != schema.num_attributes()) {
     return Status::InvalidArgument(

@@ -1,6 +1,7 @@
 #ifndef AQUA_STORAGE_TABLE_H_
 #define AQUA_STORAGE_TABLE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -54,8 +55,21 @@ class Column {
   Date DateAt(size_t row) const { return Date(dates_[row]); }
 
   /// Numeric view of a non-null cell: int64 and date widen to double.
-  /// Must only be called on int64/double/date columns.
-  double NumericAt(size_t row) const;
+  /// Must only be called on int64/double/date columns. Inline: the scans
+  /// call it per (row, mapping).
+  double NumericAt(size_t row) const {
+    switch (type_) {
+      case ValueType::kInt64:
+        return static_cast<double>(ints_[row]);
+      case ValueType::kDouble:
+        return doubles_[row];
+      case ValueType::kDate:
+        return static_cast<double>(dates_[row]);
+      default:
+        assert(false && "NumericAt on non-numeric column");
+        return 0.0;
+    }
+  }
 
   /// Direct access to the underlying typed vector for scan loops.
   const std::vector<int64_t>& ints() const { return ints_; }

@@ -84,14 +84,30 @@ AggregateQuery Query(const std::string& agg, const char* condition) {
   return *SqlParser::ParseSimple("SELECT " + agg + " FROM T" + condition);
 }
 
+std::vector<uint32_t> AllIds(size_t rows) {
+  std::vector<uint32_t> ids(rows);
+  std::iota(ids.begin(), ids.end(), 0u);
+  return ids;
+}
+
+// Rows of the big source: past one predicate block, so that blocks end
+// mid-table and the last one is partial.
+constexpr size_t kBigRows = BoundPredicate::kBlock + 37;
+
 class TupleScanTest : public ::testing::Test {
  protected:
   Table source_ = MakeSource();
+  Table big_ = MakeSource(kBigRows);
   PMapping pmapping_ = MakePMapping();
   std::vector<uint32_t> ids_ = {3, 17, 0, 59, 17, 22, 41, 8};
-  std::vector<uint32_t> all_ids_ = [] {
-    std::vector<uint32_t> ids(kRows);
-    std::iota(ids.begin(), ids.end(), 0u);
+  std::vector<uint32_t> all_ids_ = AllIds(kRows);
+  // Every row of big_ backwards, then repeats on both sides of the first
+  // block boundary: an id-list span longer than one block.
+  std::vector<uint32_t> big_ids_ = [] {
+    std::vector<uint32_t> ids = AllIds(kBigRows);
+    std::reverse(ids.begin(), ids.end());
+    constexpr auto kB = static_cast<uint32_t>(BoundPredicate::kBlock);
+    ids.insert(ids.end(), {kB, kB - 1, 0, kB, kB + 36, kB - 1});
     return ids;
   }();
 };
@@ -131,38 +147,88 @@ void ExpectViewMatchesOracle(
   EXPECT_EQ(t.vmax(), vmax);
 }
 
+// On the small source and on big_, whose spans cross a block boundary.
 TEST_F(TupleScanTest, ViewMatchesEvalAndNullRuleOnEveryRow) {
-  const std::vector<RowSpan> spans = {RowSpan(), RowSpan::Range(5, 47),
-                                      RowSpan(&ids_)};
+  constexpr size_t kB = BoundPredicate::kBlock;
+  const struct {
+    const Table* table;
+    std::vector<RowSpan> spans;
+  } sources[] = {
+      {&source_, {RowSpan(), RowSpan::Range(5, 47), RowSpan(&ids_)}},
+      {&big_,
+       {RowSpan(), RowSpan::Range(kB - 20, kB + 30), RowSpan(&big_ids_)}},
+  };
   size_t sat_cells = 0;
   size_t unsat_cells = 0;
-  for (const std::string agg : {"COUNT(*)", "COUNT(v)", "SUM(v)"}) {
-    for (const char* condition : kConditions) {
-      const AggregateQuery q = Query(agg, condition);
-      SCOPED_TRACE(agg + condition);
-      const auto bindings = Reformulator::BindAll(q, pmapping_, source_);
-      ASSERT_TRUE(bindings.ok()) << bindings.status().ToString();
-      const auto scan = TupleScan::Bind(q, q.func, pmapping_, source_);
-      ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-      for (const RowSpan& span : spans) {
-        std::vector<size_t> expected_rows;
-        span.ForEach(kRows, [&](size_t r) { expected_rows.push_back(r); });
-        std::vector<size_t> seen_rows;
-        auto check = [&](const TupleView& t) {
-          seen_rows.push_back(t.row);
-          ExpectViewMatchesOracle(t, *bindings, source_, &sat_cells,
-                                  &unsat_cells);
-        };
-        ExecContext ctx;
-        ASSERT_TRUE(scan->Run(span, &ctx, check).ok());
-        EXPECT_EQ(seen_rows, expected_rows);
-        EXPECT_EQ(ctx.steps(), expected_rows.size() * bindings->size());
+  for (const auto& source : sources) {
+    const Table& table = *source.table;
+    for (const std::string agg : {"COUNT(*)", "COUNT(v)", "SUM(v)"}) {
+      for (const char* condition : kConditions) {
+        const AggregateQuery q = Query(agg, condition);
+        SCOPED_TRACE(agg + condition);
+        const auto bindings = Reformulator::BindAll(q, pmapping_, table);
+        ASSERT_TRUE(bindings.ok()) << bindings.status().ToString();
+        const auto scan = TupleScan::Bind(q, q.func, pmapping_, table);
+        ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+        for (const RowSpan& span : source.spans) {
+          const size_t rows = table.num_rows();
+          std::vector<size_t> expected_rows;
+          for (size_t i = 0; i < span.size(rows); ++i) {
+            expected_rows.push_back(span.row(i));
+          }
+          std::vector<size_t> seen_rows;
+          auto check = [&](const TupleView& t) {
+            seen_rows.push_back(t.row);
+            ExpectViewMatchesOracle(t, *bindings, table, &sat_cells,
+                                    &unsat_cells);
+          };
+          ExecContext ctx;
+          ASSERT_TRUE(scan->Run(span, &ctx, check).ok());
+          EXPECT_EQ(seen_rows, expected_rows);
+          EXPECT_EQ(ctx.steps(), expected_rows.size() * bindings->size());
+        }
       }
     }
   }
   // Both outcomes are well represented across the conditions.
   EXPECT_GT(sat_cells, 1000u);
   EXPECT_GT(unsat_cells, 1000u);
+}
+
+// Mappings whose bindings compile to the same nodes share one block
+// evaluation; the view is the per-row oracle's either way.
+TEST_F(TupleScanTest, MappingsThatBindTheSameColumnsShareOnePredicate) {
+  struct Case {
+    const char* condition;
+    size_t predicates;
+  };
+  const Case cases[] = {
+      {"", 1},                    // TRUE under every mapping
+      {" WHERE id < 500", 1},     // id is certain
+      {" WHERE w > 3", 2},        // b, a, b: mappings 0 and 2 share
+      {" WHERE day >= '2008-1-10' AND name <> 'y'", 3},  // (d,s) (e,t) (d,t)
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.condition);
+    const AggregateQuery q = Query("SUM(v)", c.condition);
+    const auto bindings = Reformulator::BindAll(q, pmapping_, big_);
+    ASSERT_TRUE(bindings.ok());
+    const auto scan = TupleScan::Bind(q, q.func, pmapping_, big_);
+    ASSERT_TRUE(scan.ok());
+    EXPECT_EQ(scan->num_predicates(), c.predicates);
+    const auto& b = *bindings;
+    EXPECT_EQ(b[0].predicate == b[2].predicate, c.predicates < 3);
+    EXPECT_EQ(b[0].predicate == b[1].predicate, c.predicates == 1);
+    size_t sat_cells = 0;
+    size_t unsat_cells = 0;
+    for (const RowSpan& span : {RowSpan(), RowSpan(&big_ids_)}) {
+      ASSERT_TRUE(scan->Run(span, nullptr, [&](const TupleView& t) {
+                        ExpectViewMatchesOracle(t, b, big_, &sat_cells,
+                                                &unsat_cells);
+                      }).ok());
+    }
+    EXPECT_GT(sat_cells, 0u);
+  }
 }
 
 TEST_F(TupleScanTest, SubSpansConcatenateToTheWhole) {
@@ -244,87 +310,95 @@ void ExpectIdentical(const Result<T>& a, const Result<T>& b) {
 }
 
 // Every kernel, on the whole table, as a contiguous range and as an id
-// list of every row: same answer bits and the same charged steps.
+// list of every row: same answer bits and the same charged steps. On the
+// small source and on big_, where the blocks end mid-table.
 TEST_F(TupleScanTest, EveryKernelIsIdenticalOnEverySpanShape) {
-  const std::vector<RowSpan> spans = {RowSpan(), RowSpan::Range(0, kRows),
-                                      RowSpan(&all_ids_)};
+  const std::vector<uint32_t> big_all_ids = AllIds(kBigRows);
   size_t answered = 0;
   size_t failed = 0;
-  auto check = [&](const std::string& name, auto kernel) {
-    SCOPED_TRACE(name);
-    ExecContext base_ctx;
-    const auto base = kernel(spans[0], &base_ctx);
-    ++(base.ok() ? answered : failed);
-    for (size_t i = 1; i < spans.size(); ++i) {
-      ExecContext ctx;
-      ExpectIdentical(base, kernel(spans[i], &ctx));
-      EXPECT_EQ(ctx.steps(), base_ctx.steps());
+  for (const Table* source : {&source_, &big_}) {
+    const size_t rows = source->num_rows();
+    const std::vector<RowSpan> spans = {
+        RowSpan(), RowSpan::Range(0, rows),
+        RowSpan(source == &big_ ? &big_all_ids : &all_ids_)};
+    auto check = [&](const std::string& name, auto kernel) {
+      SCOPED_TRACE(name);
+      ExecContext base_ctx;
+      const auto base = kernel(spans[0], &base_ctx);
+      ++(base.ok() ? answered : failed);
+      for (size_t i = 1; i < spans.size(); ++i) {
+        ExecContext ctx;
+        ExpectIdentical(base, kernel(spans[i], &ctx));
+        EXPECT_EQ(ctx.steps(), base_ctx.steps());
+      }
+    };
+    const QuantizedDistOptions quantized;
+    for (const char* condition : kConditions) {
+      SCOPED_TRACE(condition);
+      const AggregateQuery count = Query("COUNT(v)", condition);
+      const AggregateQuery sum = Query("SUM(v)", condition);
+      const AggregateQuery avg = Query("AVG(v)", condition);
+      const AggregateQuery min = Query("MIN(v)", condition);
+      const AggregateQuery max = Query("MAX(v)", condition);
+      const PMapping& pm = pmapping_;
+      const Table& t = *source;
+      check("CountRange", [&](RowSpan s, ExecContext* c) {
+        return ByTupleCount::Range(count, pm, t, s, c);
+      });
+      check("CountDist", [&](RowSpan s, ExecContext* c) {
+        return ByTupleCount::Dist(count, pm, t, s, c);
+      });
+      check("CountExpected", [&](RowSpan s, ExecContext* c) {
+        return ByTupleCount::Expected(count, pm, t, s, c);
+      });
+      check("RangeSum", [&](RowSpan s, ExecContext* c) {
+        return ByTupleSum::RangeSum(sum, pm, t, s, c);
+      });
+      check("ExpectedSumLinear", [&](RowSpan s, ExecContext* c) {
+        return ByTupleSum::ExpectedSumLinear(sum, pm, t, s, c);
+      });
+      check("DistQuantized", [&](RowSpan s, ExecContext* c) {
+        return ByTupleSum::DistQuantized(sum, pm, t, quantized, s, c);
+      });
+      check("RangeAvgPaper", [&](RowSpan s, ExecContext* c) {
+        return ByTupleSum::RangeAvgPaper(avg, pm, t, s, c);
+      });
+      check("RangeAvgExact", [&](RowSpan s, ExecContext* c) {
+        return ByTupleSum::RangeAvgExact(avg, pm, t, s, c);
+      });
+      if (source == &source_) {  // O(n^2 * buckets): small source only
+        check("DistAvgQuantized", [&](RowSpan s, ExecContext* c) {
+          return ByTupleSum::DistAvgQuantized(avg, pm, t, quantized, s, c);
+        });
+      }
+      check("RangeMin", [&](RowSpan s, ExecContext* c) {
+        return ByTupleMinMax::RangeMin(min, pm, t, s, c);
+      });
+      check("RangeMax", [&](RowSpan s, ExecContext* c) {
+        return ByTupleMinMax::RangeMax(max, pm, t, s, c);
+      });
+      check("DistMin", [&](RowSpan s, ExecContext* c) {
+        return ByTupleMinMax::DistMin(min, pm, t, s, c);
+      });
+      check("DistMax", [&](RowSpan s, ExecContext* c) {
+        return ByTupleMinMax::DistMax(max, pm, t, s, c);
+      });
+      check("ExpectedMin", [&](RowSpan s, ExecContext* c) {
+        return ByTupleMinMax::ExpectedMin(min, pm, t, s, c);
+      });
+      check("ExpectedMax", [&](RowSpan s, ExecContext* c) {
+        return ByTupleMinMax::ExpectedMax(max, pm, t, s, c);
+      });
+      check("ApproxSum", [&](RowSpan s, ExecContext* c) {
+        return ByTupleCLT::ApproxSum(sum, pm, t, s, c);
+      });
+      check("ApproxCount", [&](RowSpan s, ExecContext* c) {
+        return ByTupleCLT::ApproxCount(count, pm, t, s, c);
+      });
+      check("ApproxAvgExpectation", [&](RowSpan s, ExecContext* c) {
+        return ByTupleCLT::ApproxAvgExpectation(avg, pm, t, s, 1.0, c);
+      });
     }
-  };
-  const QuantizedDistOptions quantized;
-  for (const char* condition : kConditions) {
-    SCOPED_TRACE(condition);
-    const AggregateQuery count = Query("COUNT(v)", condition);
-    const AggregateQuery sum = Query("SUM(v)", condition);
-    const AggregateQuery avg = Query("AVG(v)", condition);
-    const AggregateQuery min = Query("MIN(v)", condition);
-    const AggregateQuery max = Query("MAX(v)", condition);
-    const PMapping& pm = pmapping_;
-    const Table& t = source_;
-    check("CountRange", [&](RowSpan s, ExecContext* c) {
-      return ByTupleCount::Range(count, pm, t, s, c);
-    });
-    check("CountDist", [&](RowSpan s, ExecContext* c) {
-      return ByTupleCount::Dist(count, pm, t, s, c);
-    });
-    check("CountExpected", [&](RowSpan s, ExecContext* c) {
-      return ByTupleCount::Expected(count, pm, t, s, c);
-    });
-    check("RangeSum", [&](RowSpan s, ExecContext* c) {
-      return ByTupleSum::RangeSum(sum, pm, t, s, c);
-    });
-    check("ExpectedSumLinear", [&](RowSpan s, ExecContext* c) {
-      return ByTupleSum::ExpectedSumLinear(sum, pm, t, s, c);
-    });
-    check("DistQuantized", [&](RowSpan s, ExecContext* c) {
-      return ByTupleSum::DistQuantized(sum, pm, t, quantized, s, c);
-    });
-    check("RangeAvgPaper", [&](RowSpan s, ExecContext* c) {
-      return ByTupleSum::RangeAvgPaper(avg, pm, t, s, c);
-    });
-    check("RangeAvgExact", [&](RowSpan s, ExecContext* c) {
-      return ByTupleSum::RangeAvgExact(avg, pm, t, s, c);
-    });
-    check("DistAvgQuantized", [&](RowSpan s, ExecContext* c) {
-      return ByTupleSum::DistAvgQuantized(avg, pm, t, quantized, s, c);
-    });
-    check("RangeMin", [&](RowSpan s, ExecContext* c) {
-      return ByTupleMinMax::RangeMin(min, pm, t, s, c);
-    });
-    check("RangeMax", [&](RowSpan s, ExecContext* c) {
-      return ByTupleMinMax::RangeMax(max, pm, t, s, c);
-    });
-    check("DistMin", [&](RowSpan s, ExecContext* c) {
-      return ByTupleMinMax::DistMin(min, pm, t, s, c);
-    });
-    check("DistMax", [&](RowSpan s, ExecContext* c) {
-      return ByTupleMinMax::DistMax(max, pm, t, s, c);
-    });
-    check("ExpectedMin", [&](RowSpan s, ExecContext* c) {
-      return ByTupleMinMax::ExpectedMin(min, pm, t, s, c);
-    });
-    check("ExpectedMax", [&](RowSpan s, ExecContext* c) {
-      return ByTupleMinMax::ExpectedMax(max, pm, t, s, c);
-    });
-    check("ApproxSum", [&](RowSpan s, ExecContext* c) {
-      return ByTupleCLT::ApproxSum(sum, pm, t, s, c);
-    });
-    check("ApproxCount", [&](RowSpan s, ExecContext* c) {
-      return ByTupleCLT::ApproxCount(count, pm, t, s, c);
-    });
-    check("ApproxAvgExpectation", [&](RowSpan s, ExecContext* c) {
-      return ByTupleCLT::ApproxAvgExpectation(avg, pm, t, s, 1.0, c);
-    });
   }
   // Mostly answers, and some well-formed failures (an expected MIN/MAX
   // that is undefined with positive probability).

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "aqua/common/random.h"
 #include "aqua/storage/table_builder.h"
 
 namespace aqua {
@@ -221,6 +228,272 @@ TEST(BoundPredicateTest, DeepTreeEvaluates) {
 TEST(BoundPredicateTest, NullPredicateRejected) {
   const Table t = TestTable();
   EXPECT_FALSE(BoundPredicate::Bind(nullptr, t.schema()).ok());
+}
+
+// ---------------------------------------------------------------------------
+// MatchBlock against the per-row oracle.
+
+constexpr size_t kBlock = BoundPredicate::kBlock;
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+// One column of each type with NULLs (i, x, s, d) and one without (j, y,
+// t, e), over 2 * kBlock + 3 rows, so that every block length below ends
+// mid-table. The cells cycle through edge values: integers around 2^53
+// and the int64 limits, +-0.0, NaN and infinities (appended directly:
+// the CSV reader rejects them), the empty string and string prefixes.
+Table OracleTable() {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t ints[] = {0, 1, -1, 3, kTwo53, kTwo53 + 1, -kTwo53, kMax, kMin};
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const double big = 9007199254740992.0;
+  const double doubles[] = {0.0, -0.0, 1.5, -2.25, nan, inf, -inf, big, 1e-310};
+  const char* const strings[] = {"", "a", "ab", "abc", "b", "ab\x01", "B"};
+  const Schema schema = *Schema::Make(
+      {{"i", ValueType::kInt64}, {"x", ValueType::kDouble},
+       {"s", ValueType::kString}, {"d", ValueType::kDate},
+       {"j", ValueType::kInt64}, {"y", ValueType::kDouble},
+       {"t", ValueType::kString}, {"e", ValueType::kDate}});
+  std::vector<Column> cols;
+  for (size_t c = 0; c < schema.num_attributes(); ++c) {
+    cols.emplace_back(schema.attribute(c).type);
+  }
+  Rng rng(2009);
+  auto pick = [&](size_t n) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  for (size_t r = 0; r < 2 * kBlock + 3; ++r) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      if (c < 4 && pick(5) == 0) {
+        cols[c].AppendNull();
+        continue;
+      }
+      switch (schema.attribute(c).type) {
+        case ValueType::kInt64:
+          cols[c].AppendInt64(ints[pick(std::size(ints))]);
+          break;
+        case ValueType::kDouble:
+          cols[c].AppendDouble(doubles[pick(std::size(doubles))]);
+          break;
+        case ValueType::kString:
+          cols[c].AppendString(strings[pick(std::size(strings))]);
+          break;
+        default:
+          cols[c].AppendDate(
+              *Date::FromYmd(2008, 1, static_cast<int>(1 + pick(20))));
+          break;
+      }
+    }
+  }
+  return *Table::Make(schema, std::move(cols));
+}
+
+// Runs MatchBlock over contiguous blocks of kBlock - 1, kBlock and
+// kBlock + 1 rows, and over unsorted id lists with repeated ids, and
+// checks every output byte against Matches on that row. One scratch
+// serves every call, as in the scans. Returns the TRUE rows seen, so a
+// caller can check that the case is not vacuous.
+size_t ExpectBlocksMatchRows(const BoundPredicate& p, const Table& t) {
+  BoundPredicate::Scratch scratch;
+  size_t checked = 0;
+  size_t matched = 0;
+  std::string first_mismatch;
+  auto check = [&](const uint32_t* ids, size_t first, size_t n) {
+    std::vector<uint8_t> out(n, 7);
+    p.MatchBlock(t, ids, first, n, out.data(), &scratch);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t row = ids != nullptr ? ids[first + i] : first + i;
+      const uint8_t expected = p.Matches(t, row) ? 1 : 0;
+      ++checked;
+      matched += out[i];
+      if (out[i] != expected && first_mismatch.empty()) {
+        first_mismatch = "row " + std::to_string(row) + ": block " +
+                         std::to_string(out[i]) + ", per-row " +
+                         std::to_string(expected);
+      }
+    }
+  };
+  for (const size_t len : {kBlock - 1, kBlock, kBlock + 1}) {
+    for (size_t first = 0; first < t.num_rows(); first += len) {
+      check(nullptr, first, std::min(len, t.num_rows() - first));
+    }
+  }
+  Rng rng(53);
+  std::vector<uint32_t> ids(kBlock + 9);
+  for (uint32_t& id : ids) {
+    id = static_cast<uint32_t>(
+        rng.UniformInt(0, static_cast<int64_t>(t.num_rows()) - 1));
+  }
+  ids[5] = ids[4];  // a repeat next to its twin, as well as random ones
+  check(ids.data(), 0, ids.size());
+  check(ids.data(), 3, kBlock);
+  check(ids.data(), ids.size() - 1, 1);
+  EXPECT_EQ(first_mismatch, "");
+  EXPECT_EQ(checked, 3 * t.num_rows() + 2 * kBlock + 10);
+  return matched;
+}
+
+const CompareOp kAllOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                             CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+
+TEST(MatchBlockTest, EveryOpOnEveryTypeMatchesRows) {
+  const Table t = OracleTable();
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* column;
+    Value literal;
+  };
+  const std::vector<Case> cases = {
+      // int64 columns: integer order against int64 literals, the sign of
+      // double(x) - y against double ones (x beyond 2^53 rounds).
+      {"i", Value::Int64(3)},
+      {"j", Value::Int64(kTwo53)},
+      {"i", Value::Int64(std::numeric_limits<int64_t>::min())},
+      {"j", Value::Double(2.5)},
+      {"i", Value::Double(9007199254740992.0)},
+      {"j", Value::Double(-9007199254740992.0)},
+      {"i", Value::Double(-0.0)},
+      {"j", Value::Double(nan)},
+      // double columns: +-0.0, NaN and infinite cells and literals.
+      {"x", Value::Double(0.0)},
+      {"y", Value::Double(-0.0)},
+      {"x", Value::Double(1.5)},
+      {"y", Value::Int64(3)},
+      {"x", Value::Int64(kTwo53)},
+      {"y", Value::Double(inf)},
+      {"x", Value::Double(-inf)},
+      {"y", Value::Double(nan)},
+      {"x", Value::Double(1e-310)},
+      // strings: the empty string, prefixes, bytes above 'Z'.
+      {"s", Value::String("")},
+      {"t", Value::String("ab")},
+      {"s", Value::String("abc")},
+      {"t", Value::String("a")},
+      {"s", Value::String("B")},
+      // dates, also from the quoted-string form SQL writes.
+      {"d", Value::FromDate(*Date::FromYmd(2008, 1, 10))},
+      {"e", Value::String("2008-1-1")},
+      {"d", Value::String("2008-1-20")},
+  };
+  size_t matched = 0;
+  for (const Case& c : cases) {
+    for (const CompareOp op : kAllOps) {
+      const PredicatePtr pred = Predicate::Comparison(c.column, op, c.literal);
+      SCOPED_TRACE(pred->ToString());
+      const auto bound = BoundPredicate::Bind(pred, t.schema());
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      matched += ExpectBlocksMatchRows(*bound, t);
+    }
+  }
+  EXPECT_GT(matched, 0u);
+}
+
+TEST(MatchBlockTest, NanCellComparesEqualLikeValueCompare) {
+  // Value::Compare is Sign(x - y), so a NaN difference is "equal": the
+  // block compare must not turn it into an unordered FALSE.
+  Column x(ValueType::kDouble);
+  x.AppendDouble(std::nan(""));
+  x.AppendDouble(1.0);
+  const Table t = *Table::Make(*Schema::Make({{"x", ValueType::kDouble}}),
+                               {std::move(x)});
+  const auto eq = BoundPredicate::Bind(
+      Predicate::Comparison("x", CompareOp::kEq, Value::Double(5.0)),
+      t.schema());
+  ASSERT_TRUE(eq.ok());
+  ASSERT_TRUE(eq->Matches(t, 0));
+  uint8_t out[2] = {7, 7};
+  BoundPredicate::Scratch scratch;
+  eq->MatchBlock(t, nullptr, 0, 2, out, &scratch);
+  EXPECT_EQ(out[0], 1);
+  EXPECT_EQ(out[1], 0);
+}
+
+TEST(MatchBlockTest, ThreeValuedTreesMatchRows) {
+  const Table t = OracleTable();
+  // Comparisons over the NULL-bearing columns are UNKNOWN on NULL rows.
+  const PredicatePtr a =
+      Predicate::Comparison("i", CompareOp::kGt, Value::Int64(0));
+  const PredicatePtr b =
+      Predicate::Comparison("x", CompareOp::kLe, Value::Double(1.5));
+  const PredicatePtr c =
+      Predicate::Comparison("s", CompareOp::kLt, Value::String("ab"));
+  const PredicatePtr d = Predicate::Comparison(
+      "d", CompareOp::kNe, Value::String("2008-1-7"));
+  const PredicatePtr j =
+      Predicate::Comparison("j", CompareOp::kEq, Value::Int64(1));
+  const std::vector<PredicatePtr> trees = {
+      Predicate::True(),
+      Predicate::Not(a),
+      Predicate::And(a, b),
+      Predicate::Or(a, b),
+      Predicate::And(Predicate::Not(c), Predicate::Or(d, j)),
+      Predicate::Or(Predicate::Not(Predicate::And(a, c)), Predicate::Not(d)),
+      Predicate::Not(Predicate::Not(Predicate::Or(b, Predicate::True()))),
+  };
+  for (const PredicatePtr& tree : trees) {
+    SCOPED_TRACE(tree->ToString());
+    const auto bound = BoundPredicate::Bind(tree, t.schema());
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    ExpectBlocksMatchRows(*bound, t);
+  }
+}
+
+TEST(MatchBlockTest, TreeOfMoreThanSixteenNodesMatchesRows) {
+  const Table t = OracleTable();
+  // 25 nodes, alternating AND/OR over NULL-bearing columns, with NOTs.
+  PredicatePtr p = Predicate::Comparison("x", CompareOp::kGe, Value::Int64(0));
+  for (int k = 0; k < 6; ++k) {
+    const PredicatePtr leaf = Predicate::Comparison(
+        k % 2 == 0 ? "i" : "s", CompareOp::kNe,
+        k % 2 == 0 ? Value::Int64(k) : Value::String("a"));
+    p = k % 3 == 0 ? Predicate::And(p, Predicate::Not(leaf))
+                   : Predicate::Or(Predicate::Not(p), leaf);
+  }
+  const auto bound = BoundPredicate::Bind(p, t.schema());
+  ASSERT_TRUE(bound.ok());
+  std::vector<std::string> attrs;
+  p->CollectAttributes(&attrs);
+  ASSERT_EQ(attrs.size(), 7u);
+  ExpectBlocksMatchRows(*bound, t);
+}
+
+TEST(MatchBlockTest, ForEachMatchVisitsTheMatchingRowsInOrder) {
+  const Table t = OracleTable();
+  const auto bound = BoundPredicate::Bind(
+      Predicate::Or(
+          Predicate::Comparison("x", CompareOp::kLt, Value::Double(0.5)),
+          Predicate::Comparison("s", CompareOp::kEq, Value::String(""))),
+      t.schema());
+  ASSERT_TRUE(bound.ok());
+  std::vector<size_t> expected;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    if (bound->Matches(t, r)) expected.push_back(r);
+  }
+  std::vector<size_t> seen;
+  bound->ForEachMatch(t, [&](size_t r) { seen.push_back(r); });
+  EXPECT_EQ(seen, expected);
+  // Matches in the first and in the last (partial) block.
+  ASSERT_FALSE(seen.empty());
+  EXPECT_LT(seen.front(), kBlock);
+  EXPECT_GE(seen.back(), 2 * kBlock);
+}
+
+TEST(MatchBlockTest, EqualityIsSameCompiledNodes) {
+  const Table t = OracleTable();
+  auto bind = [&](const char* column, Value literal) {
+    return *BoundPredicate::Bind(
+        Predicate::And(Predicate::Comparison(column, CompareOp::kLt,
+                                             std::move(literal)),
+                       Predicate::True()),
+        t.schema());
+  };
+  EXPECT_TRUE(bind("x", Value::Double(1.0)) == bind("x", Value::Double(1.0)));
+  EXPECT_FALSE(bind("x", Value::Double(1.0)) == bind("y", Value::Double(1.0)));
+  EXPECT_FALSE(bind("x", Value::Double(1.0)) == bind("x", Value::Double(2.0)));
+  // An int literal is a different compare from the equal double.
+  EXPECT_FALSE(bind("i", Value::Int64(1)) == bind("i", Value::Double(1.0)));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "aqua/common/exec_context.h"
@@ -70,9 +71,29 @@ TEST(RowSpanTest, IdListRangeAndWholeTable) {
   EXPECT_EQ(all.size(100), 100u);
   EXPECT_EQ(all.row(42), 42u);
   const RowSpan range = RowSpan::Range(5, 8);
-  std::vector<size_t> seen;
-  range.ForEach(100, [&](size_t r) { seen.push_back(r); });
-  EXPECT_EQ(seen, (std::vector<size_t>{5, 6, 7}));
+  EXPECT_EQ(range.size(100), 3u);
+  EXPECT_EQ(range.row(2), 7u);
+}
+
+TEST(RowSpanTest, ForEachBlockSplitsInVisitOrder) {
+  // (ids, first, n) per block; the rows are ids[first + i] or first + i.
+  using Block = std::tuple<const uint32_t*, size_t, size_t>;
+  auto blocks = [](RowSpan span, size_t num_rows, size_t block) {
+    std::vector<Block> out;
+    span.ForEachBlock(num_rows, block,
+                      [&](const uint32_t* ids, size_t first, size_t n) {
+                        out.emplace_back(ids, first, n);
+                      });
+    return out;
+  };
+  EXPECT_EQ(blocks(RowSpan::Range(5, 10), 100, 2),
+            (std::vector<Block>{{nullptr, 5, 2}, {nullptr, 7, 2},
+                                {nullptr, 9, 1}}));
+  EXPECT_EQ(blocks(RowSpan(), 4, 4), (std::vector<Block>{{nullptr, 0, 4}}));
+  const std::vector<uint32_t> ids = {7, 2, 9, 2};
+  EXPECT_EQ(blocks(RowSpan(&ids).Sub(1, 4), 100, 2),
+            (std::vector<Block>{{ids.data(), 1, 2}, {ids.data(), 3, 1}}));
+  EXPECT_TRUE(blocks(RowSpan::Range(3, 3), 100, 2).empty());
 }
 
 TEST(ShardRunnerTest, OneShardPlanRunsInlineWithCallerPolicy) {
