@@ -6,17 +6,14 @@
 //   1. load the matcher output from its text format,
 //   2. register source tables with a Mediator,
 //   3. answer aggregate SQL against the mediated schema,
-//   4. prune to the top-k candidates with an error bound,
-//   5. summarise an exponential-support distribution with the CLT.
+//   4. summarise an exponential-support distribution with the CLT.
 
-#include <cmath>
 #include <cstdio>
 
 #include "aqua/common/random.h"
 #include "aqua/core/clt.h"
 #include "aqua/core/mediator.h"
 #include "aqua/mapping/serialize.h"
-#include "aqua/mapping/top_k.h"
 #include "aqua/query/parser.h"
 #include "aqua/workload/employees.h"
 
@@ -74,41 +71,10 @@ candidate 0.05: emp_id -> id, dept -> department, pay_with_bonus -> salary, role
                               : expected.status().ToString().c_str());
   }
 
-  // 4. The 0.05-probability candidate quadruples by-table work for little
-  //    mass; prune to top-3 with a quantified error bound.
-  const PMapping& full = *(*schema_pm).ForTargetRelation("employees").value();
-  const auto pruned = TopKMappings(full, 3);
-  if (pruned.ok()) {
-    std::printf("top-3 pruning drops probability mass %.3f\n",
-                pruned->dropped_mass);
-    const AggregateQuery payroll = *SqlParser::ParseSimple(
-        "SELECT SUM(salary) FROM employees");
-    const Table& source = **mediator.TableFor("employees_b");
-    const Engine engine;
-    const auto full_range = engine.Answer(payroll, full, source,
-                                          MappingSemantics::kByTable,
-                                          AggregateSemantics::kRange);
-    const auto full_ev = engine.Answer(payroll, full, source,
-                                       MappingSemantics::kByTable,
-                                       AggregateSemantics::kExpectedValue);
-    const auto pruned_ev = engine.Answer(payroll, pruned->pmapping, source,
-                                         MappingSemantics::kByTable,
-                                         AggregateSemantics::kExpectedValue);
-    if (full_range.ok() && full_ev.ok() && pruned_ev.ok()) {
-      std::printf("  payroll expected, all 4 candidates: %.0f\n",
-                  full_ev->expected_value);
-      std::printf("  payroll expected, top 3:            %.0f\n",
-                  pruned_ev->expected_value);
-      std::printf("  guaranteed bound on the gap:        %.0f (actual %.0f)\n\n",
-                  ExpectedValueErrorBound(*pruned, full_range->range),
-                  std::abs(full_ev->expected_value -
-                           pruned_ev->expected_value));
-    }
-  }
-
-  // 5. The by-tuple distribution of SUM(salary) has astronomically many
+  // 4. The by-tuple distribution of SUM(salary) has astronomically many
   //    outcomes; the CLT gives exact moments and a credible interval in
   //    one O(n*m) pass.
+  const PMapping& full = *(*schema_pm).ForTargetRelation("employees").value();
   const AggregateQuery payroll = *SqlParser::ParseSimple(
       "SELECT SUM(salary) FROM employees");
   const Table& source = **mediator.TableFor("employees_b");

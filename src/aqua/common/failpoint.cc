@@ -289,18 +289,14 @@ Result<FailSpec> ParseSpec(std::string_view text) {
 
 const std::vector<SiteInfo>& AllSites() {
   static const std::vector<SiteInfo>* sites = new std::vector<SiteInfo>{
-      {"storage/csv/read-file",
-       "reading a CSV file from disk, inside the retry loop; a transient "
-       "error here exercises retry-then-succeed / retry-exhausted"},
+      {"storage/csv/read-file", "reading a CSV file from disk"},
       {"storage/csv/parse",
        "parsing CSV text into a table (after the file was read)"},
-      {"storage/csv/write-file", "writing a table to a CSV file, inside "
-                                 "the retry loop"},
+      {"storage/csv/write-file", "writing a table to a CSV file"},
       {"mapping/serialize/read-file",
-       "reading a p-mapping text file from disk, inside the retry loop"},
+       "reading a p-mapping text file from disk"},
       {"mapping/serialize/parse", "parsing p-mapping text into blocks"},
-      {"mapping/serialize/write-file",
-       "writing a p-mapping text file, inside the retry loop"},
+      {"mapping/serialize/write-file", "writing a p-mapping text file"},
       {"exec/pool/spawn",
        "enqueueing a task on the shared thread pool; an error simulates "
        "worker-spawn failure and drives the parallel-to-serial fallback "

@@ -15,9 +15,9 @@ namespace aqua::fault {
 /// Deterministic fault injection ("failpoints", after the discipline used
 /// by production datastores): named sites compiled into the library where
 /// a configured fault — an error return, a delay, or a partial result —
-/// can be triggered on demand, so every recovery path (retries, the
-/// degradation ladder, linked cancellation) is testable without waiting
-/// for the OS to misbehave.
+/// can be triggered on demand, so every recovery path (the serial
+/// fallback, the degradation ladder, linked cancellation) is testable
+/// without waiting for the OS to misbehave.
 ///
 /// Cost when idle: a site that is not armed is one relaxed atomic load
 /// (`Armed()` reads a process-wide active-failpoint count); the registry
@@ -40,7 +40,7 @@ namespace aqua::fault {
 ///            | 'partial'
 ///
 /// CODE is a canonical status-code name (see StatusCodeFromString), e.g.
-/// `unavailable` (the transient class the retry layer retries) or
+/// `unavailable` (a transient failure; aquad reports it retryable) or
 /// `resource-exhausted` (what drives the engine's degradation ladder).
 /// With no trigger the action fires on every evaluation. `p` draws from a
 /// deterministic per-site SplitMix64 stream, so a seeded probabilistic

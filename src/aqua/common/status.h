@@ -36,9 +36,8 @@ enum class StatusCode {
   kDeadlineExceeded,
   /// The caller cooperatively cancelled the request mid-flight.
   kCancelled,
-  /// A transient failure (I/O hiccup, pool spawn failure, injected fault):
-  /// the operation did not happen but retrying it may succeed. This is the
-  /// only code `aqua::fault::IsTransient` classifies as retryable.
+  /// A transient failure (pool spawn failure, shed request, injected
+  /// fault): the operation did not happen but retrying it may succeed.
   kUnavailable,
 };
 

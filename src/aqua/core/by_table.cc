@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 
+#include "aqua/common/string_util.h"
 #include "aqua/obs/trace.h"
 #include "aqua/query/executor.h"
 #include "aqua/reformulate/reformulator.h"
@@ -16,6 +17,15 @@ namespace {
 Status ChargeScan(ExecContext* ctx, const Table& source) {
   AQUA_RETURN_NOT_OK(ExecCharge(ctx, source.num_rows()));
   return ExecCheckNow(ctx);
+}
+
+/// The key that aligns a group across mappings. A double keys by its
+/// round-trip text, not by `ToString`'s 6-digit label, so distinct doubles
+/// never share a group; int64 5 and double 5.0 still share the key "5".
+std::string GroupKey(const Value& group) {
+  return group.type() == ValueType::kDouble
+             ? FormatDoubleRoundTrip(group.dbl())
+             : group.ToString();
 }
 
 }  // namespace
@@ -100,8 +110,7 @@ Result<std::vector<GroupedAnswer>> ByTable::AnswerGrouped(
     return Status::InvalidArgument(
         "ungrouped query passed to ByTable::AnswerGrouped; use Answer");
   }
-  // Aligned per-group accumulation across mappings, keyed by the rendered
-  // group value (exact for int64/date/string groups).
+  // Aligned per-group accumulation across mappings, keyed by GroupKey.
   struct PerGroup {
     Value group;
     std::vector<double> results;
@@ -118,7 +127,7 @@ Result<std::vector<GroupedAnswer>> ByTable::AnswerGrouped(
     AQUA_ASSIGN_OR_RETURN(std::vector<Executor::GroupResult> rows,
                           Executor::ExecuteGrouped(reformulated, source));
     for (const Executor::GroupResult& row : rows) {
-      const std::string key = row.group.ToString();
+      const std::string key = GroupKey(row.group);
       auto [it, inserted] = groups.try_emplace(key);
       if (inserted) {
         it->second.group = row.group;

@@ -4,11 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "aqua/common/exec_context.h"
-#include "aqua/common/result.h"
 #include "aqua/exec/thread_pool.h"
 
 namespace aqua::exec {
@@ -77,28 +75,6 @@ using ChunkBody = std::function<Status(const Chunk&, ExecContext*)>;
 Status ParallelFor(const ExecPolicy& policy, size_t n, size_t chunk_size,
                    ExecContext* parent, const ChunkBody& body,
                    const std::vector<uint64_t>* weights = nullptr);
-
-/// Map-reduce on top of ParallelFor: `map` produces one T per chunk
-/// (concurrently), then `reduce` folds the per-chunk values left to right
-/// in chunk-index order — a fixed reduction order, so floating-point
-/// results are identical at every thread count.
-template <typename T, typename MapFn, typename ReduceFn>
-Result<T> ParallelReduce(const ExecPolicy& policy, size_t n,
-                         size_t chunk_size, ExecContext* parent, T init,
-                         const MapFn& map, const ReduceFn& reduce,
-                         const std::vector<uint64_t>* weights = nullptr) {
-  std::vector<T> slots(n == 0 ? 0 : (n + chunk_size - 1) / chunk_size);
-  AQUA_RETURN_NOT_OK(ParallelFor(
-      policy, n, chunk_size, parent,
-      [&](const Chunk& chunk, ExecContext* ctx) -> Status {
-        AQUA_ASSIGN_OR_RETURN(slots[chunk.index], map(chunk, ctx));
-        return Status::OK();
-      },
-      weights));
-  T acc = std::move(init);
-  for (T& slot : slots) acc = reduce(std::move(acc), std::move(slot));
-  return acc;
-}
 
 }  // namespace aqua::exec
 

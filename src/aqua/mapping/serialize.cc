@@ -3,6 +3,7 @@
 #include <charconv>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "aqua/common/failpoint.h"
 #include "aqua/common/string_util.h"
@@ -167,45 +168,25 @@ Result<SchemaPMapping> PMappingText::ParseSchema(std::string_view text) {
   return SchemaPMapping::Make(std::move(mappings));
 }
 
-Result<SchemaPMapping> PMappingText::ReadSchemaFile(
-    const std::string& path, const fault::RetryPolicy& retry) {
-  Result<std::string> text = fault::WithRetry(
-      retry, "pmapping-read", [&]() -> Result<std::string> {
-        // Partial poll first: Evaluate() behind AQUA_FAILPOINT consumes
-        // the spec's trigger, so a `once*partial` polled after it would
-        // never fire. InjectPartial checks the action kind before
-        // consuming, leaving error/delay specs untouched.
-        const bool torn = fault::InjectPartial("mapping/serialize/read-file");
-        AQUA_FAILPOINT("mapping/serialize/read-file");
-        std::ifstream in(path, std::ios::binary);
-        if (!in) return Status::NotFound("cannot open '" + path + "'");
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        if (torn) {
-          // Same torn-read model as Csv::ReadFile: the short read is
-          // detected and retried, never parsed as if complete.
-          return Status::Unavailable("short read of '" + path +
-                                     "' (injected partial result)");
-        }
-        return buf.str();
-      });
-  AQUA_RETURN_NOT_OK(text.status());
-  return ParseSchema(*text);
+Result<SchemaPMapping> PMappingText::ReadSchemaFile(const std::string& path) {
+  AQUA_FAILPOINT("mapping/serialize/read-file");
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open '" + path + "'");
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string text = std::move(buf).str();  // see Csv::ReadFile
+  return ParseSchema(text);
 }
 
 Status PMappingText::WriteSchemaFile(const SchemaPMapping& mapping,
-                                     const std::string& path,
-                                     const fault::RetryPolicy& retry) {
-  const std::string text = FormatSchema(mapping);
-  return fault::WithRetry(retry, "pmapping-write", [&]() -> Status {
-    AQUA_FAILPOINT("mapping/serialize/write-file");
-    std::ofstream out(path, std::ios::binary);
-    if (!out) return Status::InvalidArgument("cannot open '" + path +
-                                             "' for writing");
-    out << text;
-    if (!out) return Status::Internal("write to '" + path + "' failed");
-    return Status::OK();
-  });
+                                     const std::string& path) {
+  AQUA_FAILPOINT("mapping/serialize/write-file");
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return Status::InvalidArgument("cannot open '" + path +
+                                           "' for writing");
+  out << FormatSchema(mapping);
+  if (!out) return Status::Internal("write to '" + path + "' failed");
+  return Status::OK();
 }
 
 }  // namespace aqua

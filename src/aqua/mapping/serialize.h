@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "aqua/common/result.h"
-#include "aqua/fault/retry.h"
 #include "aqua/mapping/p_mapping.h"
 
 namespace aqua {
@@ -37,18 +36,14 @@ class PMappingText {
   /// Parses text containing one or more blocks.
   static Result<SchemaPMapping> ParseSchema(std::string_view text);
 
-  /// Reads and parses the file at `path` (one or more blocks). Transient
-  /// (`kUnavailable`) read failures — failpoint
-  /// `mapping/serialize/read-file` — are retried under `retry`.
-  static Result<SchemaPMapping> ReadSchemaFile(
-      const std::string& path,
-      const fault::RetryPolicy& retry = fault::RetryPolicy());
+  /// Reads and parses the file at `path` (one or more blocks; failpoint
+  /// `mapping/serialize/read-file`).
+  static Result<SchemaPMapping> ReadSchemaFile(const std::string& path);
 
-  /// Writes `FormatSchema(mapping)` to `path`, retrying transient failures
-  /// under `retry` (failpoint `mapping/serialize/write-file`).
-  static Status WriteSchemaFile(
-      const SchemaPMapping& mapping, const std::string& path,
-      const fault::RetryPolicy& retry = fault::RetryPolicy());
+  /// Writes `FormatSchema(mapping)` to `path` (failpoint
+  /// `mapping/serialize/write-file`).
+  static Status WriteSchemaFile(const SchemaPMapping& mapping,
+                                const std::string& path);
 };
 
 }  // namespace aqua

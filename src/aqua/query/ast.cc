@@ -18,6 +18,26 @@ std::string_view AggregateFunctionToString(AggregateFunction func) {
   return "?";
 }
 
+Status CheckAggregatedType(AggregateFunction func, const std::string& attribute,
+                           ValueType type, std::string_view context) {
+  const bool needs_numeric =
+      func == AggregateFunction::kSum || func == AggregateFunction::kAvg;
+  if (needs_numeric && !IsNumeric(type)) {
+    return Status::InvalidArgument(
+        std::string(context) + std::string(AggregateFunctionToString(func)) +
+        " requires a numeric attribute; '" + attribute + "' is " +
+        std::string(ValueTypeToString(type)));
+  }
+  // MIN/MAX/COUNT over strings would need a Value-ordered accumulator;
+  // the engine (like the paper) aggregates numeric and date attributes.
+  if (type == ValueType::kString) {
+    return Status::Unimplemented(std::string(context) +
+                                 "aggregation over string attribute '" +
+                                 attribute + "'");
+  }
+  return Status::OK();
+}
+
 std::string HavingClause::ToString() const {
   std::string out(AggregateFunctionToString(func));
   out += "(";

@@ -14,6 +14,13 @@ enum class AggregateFunction { kCount, kSum, kAvg, kMin, kMax };
 /// SQL name of `func` ("COUNT", "SUM", ...).
 std::string_view AggregateFunctionToString(AggregateFunction func);
 
+/// The one rule for which column types `func` aggregates: SUM/AVG need a
+/// numeric column (kInvalidArgument), and no aggregate runs over a string
+/// column (kUnimplemented). `attribute` is the column named in the message,
+/// which starts with `context` ("" or "HAVING ").
+Status CheckAggregatedType(AggregateFunction func, const std::string& attribute,
+                           ValueType type, std::string_view context = "");
+
 /// A HAVING filter on grouped queries: keep groups whose value of
 /// `func([DISTINCT] attribute)` compares to `literal` under `op`, e.g.
 /// `HAVING COUNT(*) > 5`. The HAVING aggregate may differ from the

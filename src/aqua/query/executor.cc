@@ -121,21 +121,8 @@ Result<ResolvedQuery> Resolve(const AggregateQuery& q, const Table& table) {
                         BoundPredicate::Bind(q.where, table.schema()));
   if (!q.attribute.empty()) {
     AQUA_ASSIGN_OR_RETURN(size_t idx, table.schema().IndexOf(q.attribute));
-    const ValueType type = table.schema().attribute(idx).type;
-    const bool needs_numeric = q.func == AggregateFunction::kSum ||
-                               q.func == AggregateFunction::kAvg;
-    if (needs_numeric && !IsNumeric(type)) {
-      return Status::InvalidArgument(
-          std::string(AggregateFunctionToString(q.func)) +
-          " requires a numeric attribute; '" + q.attribute + "' is " +
-          std::string(ValueTypeToString(type)));
-    }
-    // MIN/MAX/COUNT over strings would need a Value-ordered accumulator;
-    // the engine (like the paper) aggregates numeric and date attributes.
-    if (type == ValueType::kString) {
-      return Status::Unimplemented("aggregation over string attribute '" +
-                                   q.attribute + "'");
-    }
+    AQUA_RETURN_NOT_OK(CheckAggregatedType(
+        q.func, q.attribute, table.schema().attribute(idx).type));
     resolved.attribute = &table.column(idx);
   }
   return resolved;
@@ -176,19 +163,10 @@ Result<std::vector<Executor::GroupResult>> Executor::ExecuteGrouped(
   if (q.having.has_value() && !q.having->attribute.empty()) {
     AQUA_ASSIGN_OR_RETURN(size_t idx,
                           table.schema().IndexOf(q.having->attribute));
-    const ValueType type = table.schema().attribute(idx).type;
-    if (type == ValueType::kString) {
-      return Status::Unimplemented(
-          "HAVING aggregation over string attribute '" +
-          q.having->attribute + "'");
-    }
-    const bool needs_numeric = q.having->func == AggregateFunction::kSum ||
-                               q.having->func == AggregateFunction::kAvg;
-    if (needs_numeric && !IsNumeric(type)) {
-      return Status::InvalidArgument(
-          "HAVING " + std::string(AggregateFunctionToString(q.having->func)) +
-          " requires a numeric attribute");
-    }
+    AQUA_RETURN_NOT_OK(CheckAggregatedType(q.having->func,
+                                           q.having->attribute,
+                                           table.schema().attribute(idx).type,
+                                           "HAVING "));
     having_attr = &table.column(idx);
   }
 

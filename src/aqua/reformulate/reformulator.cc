@@ -78,19 +78,8 @@ Result<std::vector<Reformulator::MappingBinding>> Reformulator::BindAll(
                             m.SourceFor(query.attribute));
       AQUA_ASSIGN_OR_RETURN(size_t col_idx,
                             source.schema().IndexOf(source_attr));
-      const ValueType type = source.schema().attribute(col_idx).type;
-      const bool needs_numeric = query.func == AggregateFunction::kSum ||
-                                 query.func == AggregateFunction::kAvg;
-      if (needs_numeric && !IsNumeric(type)) {
-        return Status::InvalidArgument(
-            std::string(AggregateFunctionToString(query.func)) +
-            " requires a numeric attribute; '" + source_attr + "' is " +
-            std::string(ValueTypeToString(type)));
-      }
-      if (type == ValueType::kString) {
-        return Status::Unimplemented(
-            "aggregation over string attribute '" + source_attr + "'");
-      }
+      AQUA_RETURN_NOT_OK(CheckAggregatedType(
+          query.func, source_attr, source.schema().attribute(col_idx).type));
       binding.attribute = &source.column(col_idx);
     }
     bindings.push_back(std::move(binding));

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "aqua/common/failpoint.h"
 #include "aqua/common/string_util.h"
@@ -205,31 +206,16 @@ Result<Table> Csv::Parse(std::string_view text, const Schema& schema) {
   return Table::Make(schema, std::move(columns));
 }
 
-Result<Table> Csv::ReadFile(const std::string& path, const Schema& schema,
-                            const fault::RetryPolicy& retry) {
-  Result<std::string> text = fault::WithRetry(
-      retry, "csv-read", [&]() -> Result<std::string> {
-        // Partial poll first: Evaluate() behind AQUA_FAILPOINT consumes
-        // the spec's trigger, so a `once*partial` polled after it would
-        // never fire. InjectPartial checks the action kind before
-        // consuming, leaving error/delay specs untouched.
-        const bool torn = fault::InjectPartial("storage/csv/read-file");
-        AQUA_FAILPOINT("storage/csv/read-file");
-        std::ifstream in(path, std::ios::binary);
-        if (!in) return Status::NotFound("cannot open '" + path + "'");
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        if (torn) {
-          // A partial-result fault models a torn read. The byte count
-          // mismatch is *detected*, classified transient, and retried —
-          // truncated data must never reach the parser as if complete.
-          return Status::Unavailable("short read of '" + path +
-                                     "' (injected partial result)");
-        }
-        return buf.str();
-      });
-  AQUA_RETURN_NOT_OK(text.status());
-  return Parse(*text, schema);
+Result<Table> Csv::ReadFile(const std::string& path, const Schema& schema) {
+  AQUA_FAILPOINT("storage/csv/read-file");
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open '" + path + "'");
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  // Moved out, not copied: a copy would keep the stream's buffer, a second
+  // image of the file, alive through the parse and raise peak memory.
+  const std::string text = std::move(buf).str();
+  return Parse(text, schema);
 }
 
 std::string Csv::Format(const Table& table) {
@@ -250,18 +236,14 @@ std::string Csv::Format(const Table& table) {
   return out;
 }
 
-Status Csv::WriteFile(const Table& table, const std::string& path,
-                      const fault::RetryPolicy& retry) {
-  const std::string text = Format(table);
-  return fault::WithRetry(retry, "csv-write", [&]() -> Status {
-    AQUA_FAILPOINT("storage/csv/write-file");
-    std::ofstream out(path, std::ios::binary);
-    if (!out) return Status::InvalidArgument("cannot open '" + path +
-                                             "' for writing");
-    out << text;
-    if (!out) return Status::Internal("write to '" + path + "' failed");
-    return Status::OK();
-  });
+Status Csv::WriteFile(const Table& table, const std::string& path) {
+  AQUA_FAILPOINT("storage/csv/write-file");
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return Status::InvalidArgument("cannot open '" + path +
+                                           "' for writing");
+  out << Format(table);
+  if (!out) return Status::Internal("write to '" + path + "' failed");
+  return Status::OK();
 }
 
 }  // namespace aqua

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "aqua/common/result.h"
-#include "aqua/fault/retry.h"
 #include "aqua/storage/table.h"
 
 namespace aqua {
@@ -24,23 +23,18 @@ class Csv {
   /// and CRLF line endings (including on the header row) are tolerated.
   static Result<Table> Parse(std::string_view text, const Schema& schema);
 
-  /// Reads and parses the file at `path`. Transient (`kUnavailable`) read
-  /// failures — in practice, injected ones; see failpoint
-  /// `storage/csv/read-file` — are retried under `retry`.
-  static Result<Table> ReadFile(
-      const std::string& path, const Schema& schema,
-      const fault::RetryPolicy& retry = fault::RetryPolicy());
+  /// Reads and parses the file at `path` (failpoint
+  /// `storage/csv/read-file`).
+  static Result<Table> ReadFile(const std::string& path,
+                                const Schema& schema);
 
   /// Serialises `table` (header + rows). Strings are quoted only when they
   /// contain the separator, quotes, or newlines; NULL serialises as the
   /// empty field; dates as ISO "YYYY-MM-DD".
   static std::string Format(const Table& table);
 
-  /// Writes `Format(table)` to `path`, retrying transient failures under
-  /// `retry` (failpoint `storage/csv/write-file`).
-  static Status WriteFile(
-      const Table& table, const std::string& path,
-      const fault::RetryPolicy& retry = fault::RetryPolicy());
+  /// Writes `Format(table)` to `path` (failpoint `storage/csv/write-file`).
+  static Status WriteFile(const Table& table, const std::string& path);
 };
 
 }  // namespace aqua

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "aqua/query/parser.h"
+#include "aqua/storage/table_builder.h"
 #include "aqua/workload/ebay.h"
 #include "aqua/workload/real_estate.h"
 
@@ -107,6 +108,31 @@ TEST_F(ByTableFixture, GroupedAnswersPerGroup) {
   EXPECT_EQ((*rows)[1].group, Value::Int64(38));
   EXPECT_NEAR((*rows)[1].answer.range.low, 438.05, 1e-9);
   EXPECT_NEAR((*rows)[1].answer.range.high, 439.95, 1e-9);
+}
+
+TEST_F(ByTableFixture, GroupedKeepsDoublesEqualToSixDigitsApart) {
+  // 12345.67 and 12345.71 both print as "12345.7"; they are two groups.
+  TableBuilder builder(ds2_.schema());
+  for (const double time : {12345.67, 12345.71, 12345.67}) {
+    ASSERT_TRUE(builder
+                    .AppendRow({Value::Int64(1), Value::Int64(1),
+                                Value::Double(time), Value::Double(10.0),
+                                Value::Double(10.0)})
+                    .ok());
+  }
+  const Table t = *std::move(builder).Finish();
+  const AggregateQuery q = *SqlParser::ParseSimple(
+      "SELECT COUNT(*) FROM T2 GROUP BY timeUpdate");
+  const auto rows = ByTable::AnswerGrouped(q, pm2_, t,
+                                           AggregateSemantics::kDistribution);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_EQ((*rows)[0].group, Value::Double(12345.67));
+  EXPECT_EQ((*rows)[0].answer.distribution.size(), 1u);
+  EXPECT_NEAR((*rows)[0].answer.distribution.Pr(2.0), 1.0, 1e-12);
+  EXPECT_EQ((*rows)[1].group, Value::Double(12345.71));
+  EXPECT_EQ((*rows)[1].answer.distribution.size(), 1u);
+  EXPECT_NEAR((*rows)[1].answer.distribution.Pr(1.0), 1.0, 1e-12);
 }
 
 TEST_F(ByTableFixture, GroupedRejectsUngrouped) {

@@ -199,35 +199,6 @@ TEST(ParallelForTest, CallerCancellationSurfacesAsCancelled) {
   EXPECT_EQ(s.code(), StatusCode::kCancelled);
 }
 
-TEST(ParallelReduceTest, FoldsInChunkIndexOrder) {
-  // The reduction must be the fixed left-to-right fold over chunk indices
-  // no matter how chunks were scheduled: concatenation (non-commutative)
-  // makes any reordering visible.
-  ThreadPool pool(4);
-  const std::string expected = "|0|1|2|3|4|5|6|7|8|9|10|11";
-  for (const int threads : {1, 4}) {
-    const Result<std::string> folded = ParallelReduce<std::string>(
-        ExecPolicy{threads, &pool}, 100, 9, nullptr, std::string(),
-        [](const Chunk& chunk, ExecContext*) -> Result<std::string> {
-          return "|" + std::to_string(chunk.index);
-        },
-        [](std::string acc, std::string part) { return acc + part; });
-    ASSERT_TRUE(folded.ok());
-    EXPECT_EQ(*folded, expected) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelReduceTest, MapErrorPropagates) {
-  const Result<int> r = ParallelReduce<int>(
-      ExecPolicy{1}, 10, 2, nullptr, 0,
-      [](const Chunk& chunk, ExecContext*) -> Result<int> {
-        if (chunk.index == 2) return Status::NotFound("missing piece");
-        return static_cast<int>(chunk.index);
-      },
-      [](int acc, int part) { return acc + part; });
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-}
-
 TEST(ParallelForTest, SpawnFailureFallsBackToSerialWithIdenticalResults) {
   constexpr size_t kN = 1000;
   auto run = [&](std::vector<int>* seen) {

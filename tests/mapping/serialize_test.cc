@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "aqua/common/failpoint.h"
 #include "aqua/workload/ebay.h"
 #include "aqua/workload/real_estate.h"
 #include "aqua/workload/synthetic.h"
@@ -116,6 +117,24 @@ TEST(PMappingTextTest, FileRoundTrip) {
   EXPECT_EQ(back->mapping(0).size(), original.mapping(0).size());
   EXPECT_EQ(back->mapping(0).target_relation(),
             original.mapping(0).target_relation());
+}
+
+TEST(PMappingTextTest, InjectedReadFaultSurfacesOnceThenReadsNormally) {
+  const std::string path =
+      ::testing::TempDir() + "/aqua_serialize_fault_test.pmap";
+  ASSERT_TRUE(PMappingText::WriteSchemaFile(
+                  *SchemaPMapping::Make({*MakeEbayPMapping()}), path)
+                  .ok());
+  fault::ScopedFailpoint fp("mapping/serialize/read-file",
+                            "once*error(unavailable)");
+  ASSERT_TRUE(fp.status().ok());
+  // No retry: the caller sees the fault itself.
+  const auto first = PMappingText::ReadSchemaFile(path);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kUnavailable);
+  const auto second = PMappingText::ReadSchemaFile(path);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->size(), 1u);
 }
 
 TEST(PMappingTextTest, ReadSchemaFileMissingPathIsNotFound) {

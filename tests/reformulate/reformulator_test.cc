@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "aqua/query/executor.h"
 #include "aqua/query/parser.h"
 #include "aqua/workload/ebay.h"
 #include "aqua/workload/real_estate.h"
@@ -120,11 +121,46 @@ TEST(ReformulatorTest, BindAllCountStarHasNoAttribute) {
   EXPECT_EQ((*bindings)[0].attribute, nullptr);
 }
 
-TEST(ReformulatorTest, BindAllRejectsSumOverNonNumeric) {
+TEST(ReformulatorTest, OneAttributeTypeRuleOnEveryPath) {
+  // BindAll, the executor's SELECT aggregate and its HAVING aggregate all
+  // apply the same rule with the same codes and texts.
   const PMapping pm = *MakeRealEstatePMapping();
   const Table t = *PaperInstanceDS1();
-  AggregateQuery q = *SqlParser::ParseSimple("SELECT SUM(date) FROM T1");
-  EXPECT_FALSE(Reformulator::BindAll(q, pm, t).ok());
+  struct Case {
+    const char* target;  // aggregate over the target schema T1
+    const char* source;  // the same aggregate under mapping 0, over S1
+    StatusCode code;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"SUM(date)", "SUM(postedDate)", StatusCode::kInvalidArgument,
+       "SUM requires a numeric attribute; 'postedDate' is date"},
+      {"AVG(phone)", "AVG(agentPhone)", StatusCode::kInvalidArgument,
+       "AVG requires a numeric attribute; 'agentPhone' is string"},
+      {"MIN(phone)", "MIN(agentPhone)", StatusCode::kUnimplemented,
+       "aggregation over string attribute 'agentPhone'"},
+  };
+  for (const Case& c : cases) {
+    const AggregateQuery target = *SqlParser::ParseSimple(
+        std::string("SELECT ") + c.target + " FROM T1");
+    const Status bound = Reformulator::BindAll(target, pm, t).status();
+    EXPECT_EQ(bound.code(), c.code) << c.target;
+    EXPECT_EQ(bound.message(), c.message) << c.target;
+
+    const AggregateQuery source = *SqlParser::ParseSimple(
+        std::string("SELECT ") + c.source + " FROM S1");
+    const Status scalar = Executor::ExecuteScalar(source, t).status();
+    EXPECT_EQ(scalar.code(), c.code) << c.source;
+    EXPECT_EQ(scalar.message(), c.message) << c.source;
+
+    const AggregateQuery having = *SqlParser::ParseSimple(
+        std::string("SELECT COUNT(*) FROM S1 GROUP BY ID HAVING ") +
+        c.source + " > 0");
+    const Status grouped = Executor::ExecuteGrouped(having, t).status();
+    EXPECT_EQ(grouped.code(), c.code) << c.source;
+    EXPECT_EQ(grouped.message(), std::string("HAVING ") + c.message)
+        << c.source;
+  }
 }
 
 TEST(ReformulatorTest, BindAllRejectsWrongRelation) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "aqua/common/failpoint.h"
 #include "aqua/storage/table_builder.h"
 
 namespace aqua {
@@ -229,6 +230,26 @@ TEST(CsvTest, FileRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->num_rows(), 1u);
   EXPECT_EQ(back->GetValue(0, 0), Value::Int64(7));
+}
+
+TEST(CsvTest, InjectedReadFaultSurfacesOnceThenReadsNormally) {
+  TableBuilder b(TestSchema());
+  ASSERT_TRUE(b.AppendRow({Value::Int64(7), Value::Double(1.25),
+                           Value::String("x"),
+                           Value::FromDate(*Date::FromYmd(2024, 6, 1))})
+                  .ok());
+  const std::string path = ::testing::TempDir() + "/aqua_csv_fault_test.csv";
+  ASSERT_TRUE(Csv::WriteFile(*std::move(b).Finish(), path).ok());
+  fault::ScopedFailpoint fp("storage/csv/read-file",
+                            "once*error(unavailable)");
+  ASSERT_TRUE(fp.status().ok());
+  // No retry: the caller sees the fault itself.
+  const auto first = Csv::ReadFile(path, TestSchema());
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kUnavailable);
+  const auto second = Csv::ReadFile(path, TestSchema());
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->GetValue(0, 0), Value::Int64(7));
 }
 
 TEST(CsvTest, MissingFileIsNotFound) {

@@ -9,9 +9,10 @@
 // every answer is (a) correct and exact — byte-identical to the fault-free
 // baseline — (b) flagged approximate, or (c) a well-formed error Status.
 // It also demonstrates each degradation edge deterministically:
-// parallel-to-serial fallback, exact-to-sampler, I/O retry-then-succeed,
-// retry-exhausted, and the two sharded-execution edges (shard death and
-// torn shard partial).
+// exact-to-sampler, parallel-to-serial fallback, and the two
+// sharded-execution edges (shard death and torn shard partial). File reads
+// and writes are not retried: an injected I/O fault surfaces as a clean
+// error of the load or round-trip step.
 //
 //   aqua_chaos [--all] [--site=<name>] [--combos=<n>] [--seed=<n>]
 //              [--json=<path>] [--service] [--list] [--help]
@@ -247,8 +248,8 @@ std::vector<Outcome> RunWorkload(const Fixture& fixture) {
     outcomes.push_back(std::move(o));
   };
 
-  // Step 1: load the fixture (exercises storage/csv and mapping/serialize
-  // read paths, including their retry loops).
+  // Step 1: load the fixture (exercises the storage/csv and
+  // mapping/serialize read paths).
   const auto table = Csv::ReadFile(fixture.csv_path, fixture.schema);
   const auto mapping = PMappingText::ReadSchemaFile(fixture.mapping_path);
   if (!table.ok() || !mapping.ok()) {
@@ -257,7 +258,7 @@ std::vector<Outcome> RunWorkload(const Fixture& fixture) {
   }
   const PMapping& pm = mapping->mapping(0);
 
-  // Step 2: writer round-trip (exercises the write paths' retry loops).
+  // Step 2: writer round-trip (exercises the write paths).
   {
     const std::string rt_csv = (fixture.dir / "roundtrip.csv").string();
     const std::string rt_map = (fixture.dir / "roundtrip.pmapping").string();
@@ -427,9 +428,6 @@ std::vector<std::string> SpecsFor(const fault::SiteInfo& site) {
       "delay(5)",
   };
   const std::string name(site.name);
-  if (name.find("read-file") != std::string::npos) {
-    specs.push_back("once*partial");
-  }
   if (name == "common/exec_context/check") {
     specs.push_back("once*error(deadline-exceeded)");
   }
@@ -471,45 +469,7 @@ std::vector<Outcome> RunEdgeDemos(const Fixture& fixture,
                             std::move(detail), pass});
   };
 
-  // Edge 1: I/O retry-then-succeed. A transient read failure on the first
-  // attempt is retried and the load succeeds; the retry is visible in the
-  // metrics registry.
-  {
-    fault::DisableAll();
-    const uint64_t attempts_before =
-        CounterValue("aqua_retry_attempts_total", {{"op", "csv-read"}});
-    fault::ScopedFailpoint fp("storage/csv/read-file",
-                              "once*error(unavailable)");
-    const auto table = Csv::ReadFile(fixture.csv_path, fixture.schema);
-    const uint64_t attempts =
-        CounterValue("aqua_retry_attempts_total", {{"op", "csv-read"}}) -
-        attempts_before;
-    const auto stats = fault::StatsFor("storage/csv/read-file");
-    const bool pass = table.ok() && stats.fire_count == 1 && attempts == 2;
-    record("io-retry-then-succeed", pass,
-           "read ok=" + std::string(table.ok() ? "true" : "false") +
-               " fired=" + std::to_string(stats.fire_count) +
-               " attempts=" + std::to_string(attempts));
-  }
-
-  // Edge 2: retry-exhausted. A persistent transient failure survives every
-  // attempt and surfaces as the real kUnavailable, cleanly.
-  {
-    fault::DisableAll();
-    const uint64_t exhausted_before =
-        CounterValue("aqua_retry_exhausted_total", {{"op", "csv-read"}});
-    fault::ScopedFailpoint fp("storage/csv/read-file", "error(unavailable)");
-    const auto table = Csv::ReadFile(fixture.csv_path, fixture.schema);
-    const uint64_t exhausted =
-        CounterValue("aqua_retry_exhausted_total", {{"op", "csv-read"}}) -
-        exhausted_before;
-    const bool pass = !table.ok() &&
-                      table.status().code() == StatusCode::kUnavailable &&
-                      WellFormedError(table.status()) && exhausted == 1;
-    record("io-retry-exhausted", pass, table.status().ToString());
-  }
-
-  // Edge 3: exact-to-sampler. An injected resource-exhaustion in the exact
+  // Edge 1: exact-to-sampler. An injected resource-exhaustion in the exact
   // pass degrades to Monte-Carlo sampling; the answer is flagged
   // approximate and carries the sampler seed for reproducibility.
   {
@@ -535,7 +495,7 @@ std::vector<Outcome> RunEdgeDemos(const Fixture& fixture,
     record("exact-to-sampler", pass, std::move(detail));
   }
 
-  // Edge 4: parallel-to-serial fallback. When the pool cannot take tasks,
+  // Edge 2: parallel-to-serial fallback. When the pool cannot take tasks,
   // the parallel region runs inline on the calling thread and every query
   // answer is byte-identical to the parallel baseline. The server step is
   // the one legitimate exception: a server cannot run without its accept
@@ -569,7 +529,7 @@ std::vector<Outcome> RunEdgeDemos(const Fixture& fixture,
   // distribution query across the two workload fault domains.
   constexpr const char* kShardSql = "SELECT COUNT(*) FROM T2 WHERE price > 300";
 
-  // Edge 5: shard death. A persistent failure kills every shard's exact
+  // Edge 3: shard death. A persistent failure kills every shard's exact
   // pass; each shard degrades locally to Monte-Carlo sampling and the
   // merged answer is flagged approximate, carrying the degraded-shard
   // count — the query itself never fails.
@@ -596,7 +556,7 @@ std::vector<Outcome> RunEdgeDemos(const Fixture& fixture,
     record("shard-death", pass, std::move(detail));
   }
 
-  // Edge 6: torn shard partial. One shard scans only a prefix of its
+  // Edge 4: torn shard partial. One shard scans only a prefix of its
   // rows; the runner's coverage check must catch the short partial and
   // either degrade the shard or fail cleanly — never merge it into a
   // silently wrong answer.
