@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "aqua/core/by_tuple_count.h"
@@ -13,6 +14,8 @@
 #include "aqua/prob/distribution.h"
 #include "aqua/query/executor.h"
 #include "aqua/query/parser.h"
+#include "aqua/storage/table_builder.h"
+#include "aqua/workload/ebay.h"
 #include "aqua/workload/synthetic.h"
 
 namespace {
@@ -71,6 +74,46 @@ void BM_PredicateMatchBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateMatchBlock);
 
+// AND and OR of two comparisons, the second over a column that is NULL
+// in every seventh row, so the Kleene combine sees all three truth values;
+// one MatchBlock of kBlock rows per iteration, items are rows.
+void BM_PredicateMatchBlockCompound(benchmark::State& state,
+                                    const char* where) {
+  static const Table* table = [] {
+    TableBuilder builder(*Schema::Make(
+        {{"x", ValueType::kDouble}, {"y", ValueType::kDouble}}));
+    Rng rng(5);
+    for (size_t r = 0; r < 100'000; ++r) {
+      const Value y = r % 7 == 0 ? Value::Null()
+                                 : Value::Double(rng.Uniform(0, 1));
+      (void)builder.AppendRow({Value::Double(rng.Uniform(0, 1)), y});
+    }
+    return new Table(*std::move(builder).Finish());
+  }();
+  const AggregateQuery q =
+      *SqlParser::ParseSimple(std::string("SELECT COUNT(*) FROM S WHERE ") +
+                              where);
+  const BoundPredicate bound = *BoundPredicate::Bind(q.where, table->schema());
+  constexpr size_t kBlock = BoundPredicate::kBlock;
+  const size_t blocks = table->num_rows() / kBlock;
+  std::vector<uint8_t> match(kBlock);
+  BoundPredicate::Scratch scratch;
+  size_t block = 0;
+  for (auto _ : state) {
+    bound.MatchBlock(*table, /*ids=*/nullptr, block * kBlock, kBlock,
+                     match.data(), &scratch);
+    benchmark::DoNotOptimize(match.data());
+    benchmark::ClobberMemory();
+    block = (block + 1) % blocks;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kBlock));
+}
+BENCHMARK_CAPTURE(BM_PredicateMatchBlockCompound, and_,
+                  "x < 0.5 AND y >= 0.3");
+BENCHMARK_CAPTURE(BM_PredicateMatchBlockCompound, or_,
+                  "x < 0.5 OR y >= 0.3");
+
 const Column& ValueColumn() { return Workload().table.column(1); }
 
 void BM_ColumnarSum(benchmark::State& state) {
@@ -101,29 +144,83 @@ void BM_RowMaterialisingSum(benchmark::State& state) {
 
 BENCHMARK(BM_RowMaterialisingSum);
 
-void BM_ByTupleRangeCount(benchmark::State& state) {
-  const SyntheticWorkload& w = Workload();
-  const AggregateQuery q = w.MakeQuery(AggregateFunction::kCount);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ByTupleCount::Range(q, w.pmapping, w.table));
+// The by-tuple scans on two shapes, each reported in ns per
+// (row, mapping), the inverse of items_per_second: the synthetic workload
+// (100k rows, m = 8, every mapping binds the WHERE clause to its own
+// column) and loadbench `scan`'s (the eBay simulator at 20,000 auctions,
+// about 180k rows, m = 2, WHERE on the uncertain `price`).
+struct ScanShape {
+  const Table* table;
+  const PMapping* pmapping;
+  AggregateQuery count;
+  AggregateQuery sum;
+
+  int64_t cells() const {
+    return static_cast<int64_t>(table->num_rows() * pmapping->size());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(w.table.num_rows()));
+};
+
+const ScanShape& SyntheticM8() {
+  static const ScanShape* shape = [] {
+    const SyntheticWorkload& w = Workload();
+    return new ScanShape{&w.table, &w.pmapping,
+                         w.MakeQuery(AggregateFunction::kCount),
+                         w.MakeQuery(AggregateFunction::kSum)};
+  }();
+  return *shape;
 }
 
-BENCHMARK(BM_ByTupleRangeCount);
-
-void BM_ByTupleRangeSum(benchmark::State& state) {
-  const SyntheticWorkload& w = Workload();
-  const AggregateQuery q = w.MakeQuery(AggregateFunction::kSum);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ByTupleSum::RangeSum(q, w.pmapping, w.table));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(w.table.num_rows()));
+const ScanShape& EbayM2() {
+  static const ScanShape* shape = [] {
+    Rng rng(11);
+    EbayOptions opts;
+    opts.num_auctions = 20'000;
+    const auto* table = new Table(*GenerateEbayTable(opts, rng));
+    const auto* pmapping = new PMapping(*MakeEbayPMapping());
+    // About half the rows satisfy under each mapping, some under one only.
+    const std::string where = " FROM T2 WHERE price < 300";
+    return new ScanShape{table, pmapping,
+                         *SqlParser::ParseSimple("SELECT COUNT(*)" + where),
+                         *SqlParser::ParseSimple("SELECT SUM(price)" + where)};
+  }();
+  return *shape;
 }
 
-BENCHMARK(BM_ByTupleRangeSum);
+void BM_ByTupleRangeCount(benchmark::State& state,
+                          const ScanShape& (*shape)()) {
+  const ScanShape& s = shape();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ByTupleCount::Range(s.count, *s.pmapping, *s.table));
+  }
+  state.SetItemsProcessed(state.iterations() * s.cells());
+}
+BENCHMARK_CAPTURE(BM_ByTupleRangeCount, synthetic_m8, SyntheticM8);
+BENCHMARK_CAPTURE(BM_ByTupleRangeCount, ebay_m2, EbayM2);
+
+void BM_ByTupleRangeSum(benchmark::State& state,
+                        const ScanShape& (*shape)()) {
+  const ScanShape& s = shape();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ByTupleSum::RangeSum(s.sum, *s.pmapping, *s.table));
+  }
+  state.SetItemsProcessed(state.iterations() * s.cells());
+}
+BENCHMARK_CAPTURE(BM_ByTupleRangeSum, synthetic_m8, SyntheticM8);
+BENCHMARK_CAPTURE(BM_ByTupleRangeSum, ebay_m2, EbayM2);
+
+void BM_ByTupleExpectedSum(benchmark::State& state,
+                           const ScanShape& (*shape)()) {
+  const ScanShape& s = shape();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ByTupleSum::ExpectedSumLinear(s.sum, *s.pmapping, *s.table));
+  }
+  state.SetItemsProcessed(state.iterations() * s.cells());
+}
+BENCHMARK_CAPTURE(BM_ByTupleExpectedSum, synthetic_m8, SyntheticM8);
+BENCHMARK_CAPTURE(BM_ByTupleExpectedSum, ebay_m2, EbayM2);
 
 void BM_ByTuplePDCountDP(benchmark::State& state) {
   // Quadratic DP on n tuples (subset of the workload).

@@ -8,56 +8,20 @@
 // (eBay) and `small` (real-estate) workloads.
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "aqua/common/check.h"
 #include "aqua/query/parser.h"
-#include "aqua/storage/table_builder.h"
+#include "edge_table.h"
 
 namespace {
 
-using aqua::Value;
-
-// 37 rows cycling through edge values, each column NULL on its own
-// stride: the attribute names of both workloads' target relations.
 const aqua::Table& FixedTable() {
-  static const aqua::Table* table = [] {
-    const double nan = std::nan("");
-    const double inf = std::numeric_limits<double>::infinity();
-    const double doubles[] = {0.0, -0.0, 150.25, -3.5, nan, inf, 1e-310};
-    const int64_t big = (int64_t{1} << 53) + 1;
-    const int64_t max = std::numeric_limits<int64_t>::max();
-    const int64_t ints[] = {0, 1, -1, 500, big, -7, max};
-    const char* const phones[] = {"", "555", "555-1", "555-12", "9"};
-    aqua::TableBuilder builder(*aqua::Schema::Make(
-        {{"auctionId", aqua::ValueType::kInt64},
-         {"price", aqua::ValueType::kDouble},
-         {"timeUpdate", aqua::ValueType::kDouble},
-         {"phone", aqua::ValueType::kString},
-         {"date", aqua::ValueType::kDate},
-         {"listPrice", aqua::ValueType::kDouble}}));
-    for (size_t r = 0; r < 37; ++r) {
-      auto cell = [&](size_t stride, Value v) {
-        return r % stride == 1 ? Value::Null() : std::move(v);
-      };
-      const aqua::Status s = builder.AppendRow(
-          {cell(5, Value::Int64(ints[r % std::size(ints)])),
-           cell(4, Value::Double(doubles[r % std::size(doubles)])),
-           cell(6, Value::Double(0.25 * static_cast<double>(r % 13))),
-           cell(3, Value::String(phones[r % std::size(phones)])),
-           cell(7, Value::FromDate(*aqua::Date::FromYmd(
-                       2008, 1, static_cast<int>(1 + r % 28)))),
-           cell(8, Value::Double(doubles[(r * 3) % std::size(doubles)]))});
-      AQUA_CHECK(s.ok()) << s.ToString();
-    }
-    return new aqua::Table(*std::move(builder).Finish());
-  }();
+  static const aqua::Table* table =
+      new aqua::Table(aqua::fuzz::MakeEdgeTable(37));
   return *table;
 }
 

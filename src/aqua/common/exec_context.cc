@@ -143,4 +143,20 @@ ExecContext ExecContext::Child(const BudgetShare& share,
   return child;
 }
 
+ExecContext ExecContext::Renewed(double deadline_share) const {
+  BudgetShare whole;
+  whole.steps = max_steps_;
+  whole.bytes = max_bytes_;
+  whole.limited_steps = limit_steps_;
+  whole.limited_bytes = limit_bytes_;
+  ExecContext renewed = Child(whole, cancel_);
+  const auto now = std::chrono::steady_clock::now();
+  if (has_deadline_ && deadline_share < 1.0 && deadline_ > now) {
+    renewed.deadline_ =
+        now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                  (deadline_ - now) * deadline_share);
+  }
+  return renewed;
+}
+
 }  // namespace aqua

@@ -162,6 +162,13 @@ class ExecContext {
   ExecContext Child(const BudgetShare& share,
                     const CancellationToken& cancel) const;
 
+  /// A context with this one's step and byte limits, counted afresh, and
+  /// its cancellation token. It expires at this one's *absolute* deadline,
+  /// or, for `deadline_share` < 1, that share of the way there from now:
+  /// a degradable request's exact pass runs under the first half of its
+  /// deadline, and the sampler under whatever is left of the whole.
+  ExecContext Renewed(double deadline_share = 1.0) const;
+
   /// Adds a joined child's charges to this context's counters. No limit
   /// re-check: the child's share was carved out of this context's
   /// remaining budget, so a child that stayed within its share cannot push

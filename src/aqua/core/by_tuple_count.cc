@@ -61,6 +61,58 @@ void ParanoidCheckDpRowMass(const std::vector<double>& row, size_t lo,
       << tuples_folded << " tuples (band [" << lo << ", " << hi << "])";
 }
 
+// The range and expected-value folds, one block per `Add` (not inlined:
+// see `TupleScan::Run`).
+
+/// Paper Figure 2: tuples satisfying under every mapping, and under at
+/// least one.
+struct RangeCountFold {
+  int64_t low = 0;
+  int64_t up = 0;
+
+  [[gnu::noinline]] void Add(const TupleBlock& block) {
+    uint8_t any[BoundPredicate::kBlock];
+    uint8_t all[BoundPredicate::kBlock];
+    block.AnyAll(any, all);
+    low += CountOnes(all, block.size());
+    up += CountOnes(any, block.size());
+  }
+
+  /// The number of 1s among `n` 0/1 bytes, eight at a time: the bytes of
+  /// a word times 0x0101...01 sum into its top byte.
+  static int64_t CountOnes(const uint8_t* bytes, size_t n) {
+    constexpr uint64_t kOnes = 0x0101010101010101u;
+    int64_t count = 0;
+    size_t i = 0;
+    for (; i + sizeof(uint64_t) <= n; i += sizeof(uint64_t)) {
+      uint64_t word = 0;
+      std::memcpy(&word, bytes + i, sizeof word);
+      count += static_cast<int64_t>((word * kOnes) >> 56);
+    }
+    for (; i < n; ++i) count += bytes[i];
+    return count;
+  }
+};
+
+/// E[COUNT] = sum over (tuple, mapping) of Pr(m_j) * [satisfies], rows in
+/// order and mappings in binding order. prob * sat is exactly prob or
+/// +0.0, so the total keeps the bits of a sum over the satisfying
+/// mappings, without a data-dependent branch.
+struct ExpectedCountFold {
+  double sum = 0.0;
+
+  [[gnu::noinline]] void Add(const TupleBlock& block) {
+    const double* const prob = block.prob();
+    double total = sum;
+    for (size_t i = 0; i < block.size(); ++i) {
+      for (size_t j = 0; j < block.m(); ++j) {
+        total += prob[j] * block.sat(j)[i];
+      }
+    }
+    sum = total;
+  }
+};
+
 }  // namespace
 
 Result<Interval> ByTupleCount::Range(const AggregateQuery& query,
@@ -74,13 +126,11 @@ Result<Interval> ByTupleCount::Range(const AggregateQuery& query,
       TupleScan::Bind(query, AggregateFunction::kCount, pmapping, source));
   // Paper Figure 2: low counts tuples satisfying under all mappings, up
   // counts tuples satisfying under at least one.
-  int64_t low = 0;
-  int64_t up = 0;
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
-    if (t.all()) ++low;
-    if (t.any()) ++up;
+  RangeCountFold fold;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    fold.Add(block);
   }));
-  return Interval{static_cast<double>(low), static_cast<double>(up)};
+  return Interval{static_cast<double>(fold.low), static_cast<double>(fold.up)};
 }
 
 Result<Distribution> ByTupleCount::Dist(const AggregateQuery& query,
@@ -107,9 +157,12 @@ Result<Distribution> ByTupleCount::Dist(const AggregateQuery& query,
   AQUA_RETURN_NOT_OK(exec::ParallelFor(
       policy, n, kOccChunkRows, ctx,
       [&](const exec::Chunk& chunk, ExecContext* child) -> Status {
-        size_t i = chunk.begin;
+        double* out = occs.data() + chunk.begin;
         return scan.Run(rows.Sub(chunk.begin, chunk.end), child,
-                        [&](const TupleView& t) { occs[i++] = t.occ(); });
+                        [&](const TupleBlock& block) {
+                          block.Occ(out);
+                          out += block.size();
+                        });
       }));
   // occProb_i sums candidate probabilities, so a corrupt p-mapping (mass
   // over 1, negative entries) surfaces here as an out-of-range occurrence
@@ -175,13 +228,11 @@ Result<double> ByTupleCount::Expected(const AggregateQuery& query,
       TupleScan scan,
       TupleScan::Bind(query, AggregateFunction::kCount, pmapping, source));
   // Linearity of expectation: E[COUNT] = sum_i Pr(tuple i satisfies C).
-  double expected = 0.0;
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
-    // prob * sat adds exactly prob or +0.0, so the total keeps the bits of
-    // a sum over the satisfying mappings, without a data-dependent branch.
-    for (size_t j = 0; j < t.m; ++j) expected += t.prob[j] * t.sat[j];
+  ExpectedCountFold fold;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    fold.Add(block);
   }));
-  return expected;
+  return fold.sum;
 }
 
 Result<double> ByTupleCount::ExpectedViaDistribution(

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "aqua/common/check.h"
+#include "aqua/core/row_lanes.h"
 #include "aqua/core/tuple_scan.h"
 #include "aqua/obs/trace.h"
 
@@ -21,24 +22,81 @@ struct Extremes {
   // Over mandatory tuples:
   double mand_max_of_vmin = -std::numeric_limits<double>::infinity();
   double mand_min_of_vmax = std::numeric_limits<double>::infinity();
+
+  /// Folds one block's rows in order. No running value is ever NaN: it
+  /// starts infinite and takes a value only where that compares beyond
+  /// it. So a row that does not count can offer the running value's own
+  /// start, which never compares beyond it, and each step is one
+  /// std::min/std::max with no branch, NaNs and signed zeros folding as
+  /// they did row by row. Not inlined: see `TupleScan::Run`.
+  [[gnu::noinline]] void Add(const TupleBlock& block) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    TupleBlock::Summary t;
+    block.Extremes(&t);
+    double any_min = any_min_of_vmin;
+    double any_max = any_max_of_vmax;
+    double mand_max = mand_max_of_vmin;
+    double mand_min = mand_min_of_vmax;
+    uint64_t any_seen = has_any;
+    uint64_t all_seen = has_mandatory;
+    // The offered values are picked two rows at a time and folded one row
+    // at a time.
+    auto fold = [&](auto a_min, auto a_max, auto m_max, auto m_min,
+                    size_t row) {
+      any_min = std::min(any_min, a_min[row]);
+      any_max = std::max(any_max, a_max[row]);
+      mand_max = std::max(mand_max, m_max[row]);
+      mand_min = std::min(mand_min, m_min[row]);
+    };
+    const lanes::Vec2d inf = lanes::Splat(kInf);
+    const lanes::Vec2d minus_inf = lanes::Splat(-kInf);
+    size_t i = 0;
+    for (; i + lanes::kGroup <= block.size(); i += lanes::kGroup) {
+      const uint64_t any_word = lanes::LoadWord(t.any + i);
+      const uint64_t all_word = lanes::LoadWord(t.all + i);
+      any_seen |= any_word;
+      all_seen |= all_word;
+      lanes::Vec2l any[lanes::kPairs] = {};
+      lanes::Vec2l all[lanes::kPairs] = {};
+      lanes::SpreadMasks(any_word, any);
+      lanes::SpreadMasks(all_word, all);
+      lanes::EachPair([&](size_t k) {
+        const lanes::Vec2d vmin = lanes::Load2(t.vmin + i + 2 * k);
+        const lanes::Vec2d vmax = lanes::Load2(t.vmax + i + 2 * k);
+        const lanes::Vec2d a_min = lanes::Blend(any[k], vmin, inf);
+        const lanes::Vec2d a_max = lanes::Blend(any[k], vmax, minus_inf);
+        const lanes::Vec2d m_max = lanes::Blend(all[k], vmin, minus_inf);
+        const lanes::Vec2d m_min = lanes::Blend(all[k], vmax, inf);
+        fold(a_min, a_max, m_max, m_min, 0);
+        fold(a_min, a_max, m_max, m_min, 1);
+      });
+    }
+    for (; i < block.size(); ++i) {
+      const uint8_t any = t.any[i];
+      const uint8_t all = t.all[i];
+      const double a_min[] = {TupleBlock::Select(any, t.vmin[i], kInf)};
+      const double a_max[] = {TupleBlock::Select(any, t.vmax[i], -kInf)};
+      const double m_max[] = {TupleBlock::Select(all, t.vmin[i], -kInf)};
+      const double m_min[] = {TupleBlock::Select(all, t.vmax[i], kInf)};
+      fold(a_min, a_max, m_max, m_min, 0);
+      any_seen |= any;
+      all_seen |= all;
+    }
+    any_min_of_vmin = any_min;
+    any_max_of_vmax = any_max;
+    mand_max_of_vmin = mand_max;
+    mand_min_of_vmax = mand_min;
+    has_any = any_seen != 0;
+    has_mandatory = all_seen != 0;
+  }
 };
 
 /// Folds the per-tuple extreme values of `rows` into `Extremes`.
 Result<Extremes> Collect(const TupleScan& scan, RowSpan rows,
                          AggregateFunction func, ExecContext* ctx) {
   Extremes e;
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
-    if (!t.any()) return;
-    const double vmin = t.vmin();
-    const double vmax = t.vmax();
-    e.has_any = true;
-    e.any_min_of_vmin = std::min(e.any_min_of_vmin, vmin);
-    e.any_max_of_vmax = std::max(e.any_max_of_vmax, vmax);
-    if (t.all()) {
-      e.has_mandatory = true;
-      e.mand_max_of_vmin = std::max(e.mand_max_of_vmin, vmin);
-      e.mand_min_of_vmax = std::min(e.mand_min_of_vmax, vmax);
-    }
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    e.Add(block);
   }));
   if (!e.has_any) {
     return Status::InvalidArgument(
@@ -136,7 +194,7 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
   };
   std::vector<Event> events;
   std::vector<double> excluded;  // per-tuple Pr(contributes nothing)
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, EachRow([&](const TupleView& t) {
     // A tuple that never contributes drops out of the product entirely.
     if (!t.any()) return;
     const auto i = static_cast<uint32_t>(excluded.size());
@@ -149,7 +207,7 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
       }
     }
     excluded.push_back(excl);
-  }));
+  })));
 
   NaiveAnswer answer;
   if (events.empty()) {

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "aqua/core/by_table.h"
+#include "aqua/core/row_lanes.h"
 #include "aqua/core/tuple_scan.h"
 #include "aqua/obs/trace.h"
 
@@ -41,6 +42,131 @@ Result<int64_t> Quantise(double value, double resolution) {
   return std::llround(scaled);
 }
 
+// The range and expected-value folds, one block per `Add` (not inlined:
+// see `TupleScan::Run`). Each runs its rows in order, mappings in binding
+// order, and adds +0.0 for a pair or a tuple that contributes nothing,
+// which leaves a sum's bits unchanged (the sums start at +0.0, so they are
+// never -0.0).
+
+/// Paper Figure 4: per tuple, the smallest and largest contribution.
+struct RangeSumFold {
+  double low = 0.0;
+  double up = 0.0;
+
+  [[gnu::noinline]] void Add(const TupleBlock& block) {
+    TupleBlock::Summary e;
+    block.Extremes(&e);
+    double lo = low;
+    double hi = up;
+    // A tuple that can also be excluded, by picking a non-satisfying
+    // mapping, may take 0 instead of an extreme value: std::min(0.0, vmin)
+    // and std::max(0.0, vmax). One satisfying under no mapping has
+    // extremes 0. The contributions are picked two rows at a time and
+    // added one row at a time.
+    size_t i = 0;
+    for (; i + lanes::kGroup <= block.size(); i += lanes::kGroup) {
+      lanes::Vec2l all[lanes::kPairs] = {};
+      lanes::SpreadMasks(lanes::LoadWord(e.all + i), all);
+      lanes::EachPair([&](size_t k) {
+        const lanes::Vec2d zero{};
+        const lanes::Vec2d vmin = lanes::Load2(e.vmin + i + 2 * k);
+        const lanes::Vec2d vmax = lanes::Load2(e.vmax + i + 2 * k);
+        const lanes::Vec2d l = lanes::Blend(
+            all[k], vmin, lanes::Blend(vmin < zero, vmin, zero));
+        const lanes::Vec2d h = lanes::Blend(
+            all[k], vmax, lanes::Blend(zero < vmax, vmax, zero));
+        lo += l[0];
+        hi += h[0];
+        lo += l[1];
+        hi += h[1];
+      });
+    }
+    for (; i < block.size(); ++i) {
+      lo += TupleBlock::Select(e.all[i], e.vmin[i], std::min(0.0, e.vmin[i]));
+      hi += TupleBlock::Select(e.all[i], e.vmax[i], std::max(0.0, e.vmax[i]));
+    }
+    low = lo;
+    up = hi;
+  }
+};
+
+/// E[SUM] = sum over (tuple, mapping) of Pr(m_j) * v_ij * [satisfies].
+struct ExpectedSumFold {
+  double sum = 0.0;
+
+  [[gnu::noinline]] void Add(const TupleBlock& block) {
+    const double* const prob = block.prob();
+    double total = sum;
+    for (size_t i = 0; i < block.size(); ++i) {
+      for (size_t j = 0; j < block.m(); ++j) {
+        total += prob[j] * TupleBlock::Select(block.sat(j)[i],
+                                              block.value(j)[i], 0.0);
+      }
+    }
+    sum = total;
+  }
+};
+
+/// The paper's AVG range: SUM-range bounds over the tuples that can
+/// participate, and their count.
+struct RangeAvgPaperFold {
+  double low_sum = 0.0;
+  double up_sum = 0.0;
+  int64_t count = 0;
+
+  [[gnu::noinline]] void Add(const TupleBlock& block) {
+    TupleBlock::Summary e;
+    block.Extremes(&e);
+    double lo = low_sum;
+    double hi = up_sum;
+    int64_t n = count;
+    for (size_t i = 0; i < block.size(); ++i) {
+      lo += e.vmin[i];
+      hi += e.vmax[i];
+      n += e.any[i];
+    }
+    low_sum = lo;
+    up_sum = hi;
+    count = n;
+  }
+};
+
+/// The tight AVG range's inputs: the mandatory tuples' sums and count,
+/// and every optional tuple's extremes.
+struct RangeAvgExactFold {
+  double mand_min_sum = 0.0;
+  double mand_max_sum = 0.0;
+  int64_t mand_cnt = 0;
+  std::vector<double> opt_min;
+  std::vector<double> opt_max;
+
+  [[gnu::noinline]] void Add(const TupleBlock& block) {
+    TupleBlock::Summary e;
+    block.Extremes(&e);
+    double min_sum = mand_min_sum;
+    double max_sum = mand_max_sum;
+    int64_t cnt = mand_cnt;
+    // Optional tuples are packed onto the ends of opt_min/opt_max: every
+    // row is written, and the end advances past the optional ones only.
+    size_t k = opt_min.size();
+    opt_min.resize(k + block.size());
+    opt_max.resize(k + block.size());
+    for (size_t i = 0; i < block.size(); ++i) {
+      min_sum += TupleBlock::Select(e.all[i], e.vmin[i], 0.0);
+      max_sum += TupleBlock::Select(e.all[i], e.vmax[i], 0.0);
+      cnt += e.all[i];
+      opt_min[k] = e.vmin[i];
+      opt_max[k] = e.vmax[i];
+      k += e.any[i] & (e.all[i] ^ 1);
+    }
+    opt_min.resize(k);
+    opt_max.resize(k);
+    mand_min_sum = min_sum;
+    mand_max_sum = max_sum;
+    mand_cnt = cnt;
+  }
+};
+
 }  // namespace
 
 Result<Interval> ByTupleSum::RangeSum(const AggregateQuery& query,
@@ -52,21 +178,11 @@ Result<Interval> ByTupleSum::RangeSum(const AggregateQuery& query,
   AQUA_ASSIGN_OR_RETURN(
       TupleScan scan,
       TupleScan::Bind(query, AggregateFunction::kSum, pmapping, source));
-  double low = 0.0;
-  double up = 0.0;
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
-    if (!t.any()) return;
-    if (t.all()) {
-      low += t.vmin();
-      up += t.vmax();
-    } else {
-      // The tuple can also be excluded by picking a non-satisfying
-      // mapping, so each bound may take 0 instead of an extreme value.
-      low += std::min(0.0, t.vmin());
-      up += std::max(0.0, t.vmax());
-    }
+  RangeSumFold fold;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    fold.Add(block);
   }));
-  return Interval{low, up};
+  return Interval{fold.low, fold.up};
 }
 
 Result<double> ByTupleSum::ExpectedSum(const AggregateQuery& query,
@@ -102,7 +218,7 @@ Result<Distribution> ByTupleSum::DistQuantized(
   int64_t total_min = 0;
   int64_t total_max = 0;
   Status scan_status = Status::OK();
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, EachRow([&](const TupleView& t) {
     if (!scan_status.ok()) return;
     std::vector<Atom> atoms;
     for (size_t j = 0; j < t.m; ++j) {
@@ -129,7 +245,7 @@ Result<Distribution> ByTupleSum::DistQuantized(
     total_min += mn;
     total_max += mx;
     tuples.push_back(std::move(atoms));
-  }));
+  })));
   AQUA_RETURN_NOT_OK(scan_status);
 
   const uint64_t width = static_cast<uint64_t>(total_max - total_min) + 1;
@@ -208,7 +324,7 @@ Result<NaiveAnswer> ByTupleSum::DistAvgQuantized(
   int64_t sum_min = 0;  // over included choices only (exclusion adds 0)
   int64_t sum_max = 0;
   Status scan_status = Status::OK();
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, EachRow([&](const TupleView& t) {
     if (!scan_status.ok()) return;
     TupleAtoms ta;
     for (size_t j = 0; j < t.m; ++j) {
@@ -233,7 +349,7 @@ Result<NaiveAnswer> ByTupleSum::DistAvgQuantized(
     sum_min += std::min<int64_t>(0, mn);
     sum_max += std::max<int64_t>(0, mx);
     tuples.push_back(std::move(ta));
-  }));
+  })));
   AQUA_RETURN_NOT_OK(scan_status);
 
   NaiveAnswer answer;
@@ -316,13 +432,11 @@ Result<double> ByTupleSum::ExpectedSumLinear(const AggregateQuery& query,
   AQUA_ASSIGN_OR_RETURN(
       TupleScan scan,
       TupleScan::Bind(query, AggregateFunction::kSum, pmapping, source));
-  double expected = 0.0;
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
-    // value[j] is 0 where mapping j does not satisfy, so those terms add
-    // +0.0 and leave the total's bits unchanged.
-    for (size_t j = 0; j < t.m; ++j) expected += t.prob[j] * t.value[j];
+  ExpectedSumFold fold;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    fold.Add(block);
   }));
-  return expected;
+  return fold.sum;
 }
 
 Result<Interval> ByTupleSum::RangeAvgPaper(const AggregateQuery& query,
@@ -334,22 +448,18 @@ Result<Interval> ByTupleSum::RangeAvgPaper(const AggregateQuery& query,
   AQUA_ASSIGN_OR_RETURN(
       TupleScan scan,
       TupleScan::Bind(query, AggregateFunction::kAvg, pmapping, source));
-  double low_sum = 0.0, up_sum = 0.0;
-  int64_t low_cnt = 0, up_cnt = 0;
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
-    if (!t.any()) return;
-    low_sum += t.vmin();
-    ++low_cnt;
-    up_sum += t.vmax();
-    ++up_cnt;
+  RangeAvgPaperFold fold;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    fold.Add(block);
   }));
-  if (low_cnt == 0) {
+  if (fold.count == 0) {
     return Status::InvalidArgument(
         "AVG is undefined: no tuple satisfies the condition under any "
         "mapping");
   }
-  return Interval{low_sum / static_cast<double>(low_cnt),
-                  up_sum / static_cast<double>(up_cnt)};
+  // Each bound divides by the tuples that can participate.
+  return Interval{fold.low_sum / static_cast<double>(fold.count),
+                  fold.up_sum / static_cast<double>(fold.count)};
 }
 
 Result<Interval> ByTupleSum::RangeAvgExact(const AggregateQuery& query,
@@ -361,21 +471,11 @@ Result<Interval> ByTupleSum::RangeAvgExact(const AggregateQuery& query,
   AQUA_ASSIGN_OR_RETURN(
       TupleScan scan,
       TupleScan::Bind(query, AggregateFunction::kAvg, pmapping, source));
-  double mand_min_sum = 0.0, mand_max_sum = 0.0;
-  int64_t mand_cnt = 0;
-  std::vector<double> opt_min, opt_max;  // optional tuples' extreme values
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
-    if (!t.any()) return;
-    if (t.all()) {
-      mand_min_sum += t.vmin();
-      mand_max_sum += t.vmax();
-      ++mand_cnt;
-    } else {
-      opt_min.push_back(t.vmin());
-      opt_max.push_back(t.vmax());
-    }
+  RangeAvgExactFold fold;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    fold.Add(block);
   }));
-  if (mand_cnt == 0 && opt_min.empty()) {
+  if (fold.mand_cnt == 0 && fold.opt_min.empty()) {
     return Status::InvalidArgument(
         "AVG is undefined: no tuple satisfies the condition under any "
         "mapping");
@@ -408,10 +508,10 @@ Result<Interval> ByTupleSum::RangeAvgExact(const AggregateQuery& query,
     return sum / static_cast<double>(cnt);
   };
 
-  const double low =
-      optimise(mand_min_sum, mand_cnt, opt_min, /*minimise=*/true);
-  const double up =
-      optimise(mand_max_sum, mand_cnt, opt_max, /*minimise=*/false);
+  const double low = optimise(fold.mand_min_sum, fold.mand_cnt, fold.opt_min,
+                              /*minimise=*/true);
+  const double up = optimise(fold.mand_max_sum, fold.mand_cnt, fold.opt_max,
+                             /*minimise=*/false);
   return Interval{low, up};
 }
 

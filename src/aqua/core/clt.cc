@@ -83,7 +83,7 @@ Result<NormalApproximation> ByTupleCLT::ApproxSum(
       TupleScan scan,
       TupleScan::Bind(query, AggregateFunction::kSum, pmapping, source));
   NormalApproximation approx;
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, EachRow([&](const TupleView& t) {
     // Tuple i contributes v_ij with probability Pr(m_j) when it satisfies
     // under m_j, and 0 otherwise.
     double ex = 0.0;   // E[X_i]
@@ -97,7 +97,7 @@ Result<NormalApproximation> ByTupleCLT::ApproxSum(
     }
     approx.mean += ex;
     approx.variance += ex2 - ex * ex;
-  }));
+  })));
   if (approx.variance < 0.0) approx.variance = 0.0;  // float guard
   return approx;
 }
@@ -116,7 +116,7 @@ Result<double> ByTupleCLT::ApproxAvgExpectation(
   double ec = 0.0;   // E[C]
   double var_c = 0.0;
   double cov_sc = 0.0;
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, EachRow([&](const TupleView& t) {
     double e_si = 0.0;
     for (size_t j = 0; j < t.m; ++j) e_si += t.prob[j] * t.value[j];
     const double occ = t.occ();
@@ -124,7 +124,7 @@ Result<double> ByTupleCLT::ApproxAvgExpectation(
     ec += occ;
     var_c += occ * (1.0 - occ);
     cov_sc += e_si - e_si * occ;
-  }));
+  })));
   if (ec < min_expected_count) {
     return Status::InvalidArgument(
         "expected count " + std::to_string(ec) +
@@ -142,11 +142,11 @@ Result<NormalApproximation> ByTupleCLT::ApproxCount(
       TupleScan scan,
       TupleScan::Bind(query, AggregateFunction::kCount, pmapping, source));
   NormalApproximation approx;
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleView& t) {
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, EachRow([&](const TupleView& t) {
     const double occ = t.occ();
     approx.mean += occ;
     approx.variance += occ * (1.0 - occ);
-  }));
+  })));
   if (approx.variance < 0.0) approx.variance = 0.0;
   return approx;
 }

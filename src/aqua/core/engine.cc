@@ -252,12 +252,12 @@ Result<AggregateAnswer> Engine::DegradeToSampling(
           "aqua_degrade_total",
           {{"reason", std::string(StatusCodeToString(exact_failure.code()))}})
       .Increment();
-  // The exact pass already spent its budget; the degraded pass runs under
-  // a fresh context with the same limits, so the worst-case total cost of
-  // an Answer call is twice the configured budget. The sampler itself
-  // truncates gracefully once it has a usable estimate (see
-  // SamplerOptions::min_samples_on_budget).
-  ExecContext ctx(options_.limits, request->cancel_token());
+  // The exact pass already spent its step and byte budgets; the degraded
+  // pass gets them afresh, so the worst-case work of an Answer call is
+  // twice the configured budget. The deadline is the request's, absolute:
+  // it bounds both passes together. The sampler truncates gracefully once
+  // it has a usable estimate (see SamplerOptions::min_samples_on_budget).
+  ExecContext ctx = request->Renewed();
   Result<SampledAnswer> run = ByTupleSampler::Sample(
       query, pmapping, source, options_.degrade_sampler, /*rows=*/{}, &ctx,
       exec::ExecPolicy{options_.threads});
@@ -317,15 +317,20 @@ Result<AggregateAnswer> Engine::Answer(
       return ByTable::Answer(query, pmapping, source, aggregate_semantics,
                              &ctx);
     }
+    // A degradable request's exact pass may spend only the first half of
+    // the deadline, so that the sampler always has the second.
+    ExecContext exact_ctx =
+        ctx.Renewed(options_.degrade == DegradePolicy::kSample ? 0.5 : 1.0);
     Result<AggregateAnswer> exact = [&]() -> Result<AggregateAnswer> {
       // error(resource-exhausted) here deterministically drives the
       // exact-to-sampler degradation edge without needing a tight budget.
       AQUA_FAILPOINT("core/engine/exact");
       return AnswerByTuple(query, pmapping, source, aggregate_semantics,
-                           /*rows=*/{}, &ctx,
+                           /*rows=*/{}, &exact_ctx,
                            exec::ExecPolicy{options_.threads},
                            options_.shards);
     }();
+    ctx.Absorb(exact_ctx);
     if (exact.ok() || options_.degrade == DegradePolicy::kOff ||
         !DegradableFailure(exact.status())) {
       return exact;

@@ -39,6 +39,9 @@ class RowSpan {
     return (end_ == kToEnd ? num_rows : end_) - begin_;
   }
 
+  /// True unless the span is an id list: its blocks are row ranges.
+  bool contiguous() const { return ids_ == nullptr; }
+
   /// The `i`-th visited row.
   size_t row(size_t i) const {
     return ids_ != nullptr ? ids_[begin_ + i] : begin_ + i;

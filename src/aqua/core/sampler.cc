@@ -70,7 +70,11 @@ Result<SampledAnswer> ByTupleSampler::Sample(const AggregateQuery& query,
                            static_cast<uint64_t>(chunk.index)));
         for (size_t s = chunk.begin; s < chunk.end; ++s) {
           // One step per tuple visited; a sample is the unit of truncation.
-          const Status budget = ExecCharge(child, grid.n + 1);
+          // The clock is polled before a chunk's first sample too, so the
+          // chunks after a deadline stop at once, not at their own first
+          // amortised poll.
+          Status budget = s == chunk.begin ? ExecCheckNow(child) : Status();
+          if (budget.ok()) budget = ExecCharge(child, grid.n + 1);
           if (!budget.ok()) {
             if (budget.code() == StatusCode::kCancelled) return budget;
             acc.stop = budget;

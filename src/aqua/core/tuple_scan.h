@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "aqua/common/exec_context.h"
@@ -15,7 +16,9 @@ namespace aqua {
 /// tuple participates under mapping j (the reformulated WHERE condition
 /// holds and the aggregated attribute is non-NULL), `value[j]` is its
 /// attribute value there (0 when it does not participate, or for
-/// COUNT(*)), and `prob[j]` is the mapping's probability.
+/// COUNT(*)), and `prob[j]` is the mapping's probability. Built from a
+/// `TupleBlock` by `TupleBlock::ForEachRow`, for the folds that work a
+/// tuple at a time.
 class TupleView {
  public:
   size_t row = 0;  // row index in the source table
@@ -37,7 +40,7 @@ class TupleView {
   double vmax() const { return vmax_; }
 
  private:
-  friend class TupleScan;  // fills these in the pass that fills sat/value
+  friend class TupleBlock;  // fills these in the pass that fills sat/value
 
   size_t satisfied_ = 0;
   double occ_ = 0.0;
@@ -45,12 +48,125 @@ class TupleView {
   double vmax_ = 0.0;
 };
 
+/// Up to `BoundPredicate::kBlock` consecutive rows of a span as every
+/// candidate mapping sees them, one column per mapping. `sat(j)[i]` is 1
+/// iff row i participates under mapping j and 0 otherwise; `value(j)[i]`
+/// is its attribute value there, read raw from the column, so it is
+/// meaningful only where `sat(j)[i]` is 1 (a NULL or non-satisfying cell
+/// holds whatever the column stores; COUNT(*) reads zeros). A fold masks
+/// it with `Select`, so a non-satisfying pair adds exactly +0.0.
+///
+/// The per-row summaries of `TupleView` are not materialised: a kernel
+/// asks for the ones it reads (`AnyAll`, `Extremes`, `Occ`), each a loop
+/// over the mappings' columns, or walks `ForEachRow` for a row view.
+class TupleBlock {
+ public:
+  size_t size() const { return n_; }
+  size_t m() const { return m_; }
+  /// Row index in the source table of the block's `i`-th row.
+  size_t row(size_t i) const {
+    return ids_ != nullptr ? ids_[first_ + i] : first_ + i;
+  }
+  const uint8_t* sat(size_t j) const { return lanes_[j].sat; }
+  const double* value(size_t j) const { return lanes_[j].value; }
+  const double* prob() const { return prob_; }
+
+  /// `c ? a : b` for a 0/1 `c`, by bit masks: no branch on the data.
+  static double Select(uint8_t c, double a, double b) {
+    const uint64_t mask = -static_cast<uint64_t>(c);
+    uint64_t x = 0;
+    uint64_t y = 0;
+    std::memcpy(&x, &a, sizeof x);
+    std::memcpy(&y, &b, sizeof y);
+    const uint64_t bits = (x & mask) | (y & ~mask);
+    double out = 0.0;
+    std::memcpy(&out, &bits, sizeof out);
+    return out;
+  }
+
+  /// Per row, 0/1: satisfies under some mapping, and under every mapping.
+  void AnyAll(uint8_t* any, uint8_t* all) const;
+
+  /// One block's per-row summaries, as `Extremes` fills them.
+  struct Summary {
+    uint8_t any[BoundPredicate::kBlock];
+    uint8_t all[BoundPredicate::kBlock];
+    double vmin[BoundPredicate::kBlock];
+    double vmax[BoundPredicate::kBlock];
+  };
+  /// `AnyAll`, plus per row the smallest and largest satisfying value,
+  /// folded with std::min/std::max in mapping order from the first; 0
+  /// where none satisfies.
+  void Extremes(Summary* out) const;
+  /// Per row, Pr(participates): the satisfying probabilities summed in
+  /// mapping order.
+  void Occ(double* occ) const;
+
+  /// Calls `fn(const TupleView&)` for each row of the block, in order.
+  template <typename Fn>
+  void ForEachRow(Fn&& fn) const {
+    TupleView view;
+    view.m = m_;
+    view.sat = row_sat_;
+    view.value = row_value_;
+    view.prob = prob_;
+    for (size_t i = 0; i < n_; ++i) {
+      size_t satisfied = 0;
+      double occ = 0.0;
+      double vmin = 0.0;
+      double vmax = 0.0;
+      for (size_t j = 0; j < m_; ++j) {
+        const uint8_t s = lanes_[j].sat[i];
+        const double v = Select(s, lanes_[j].value[i], 0.0);
+        row_sat_[j] = s;
+        row_value_[j] = v;
+        if (s == 0) continue;
+        occ += prob_[j];
+        vmin = satisfied == 0 ? v : std::min(vmin, v);
+        vmax = satisfied == 0 ? v : std::max(vmax, v);
+        ++satisfied;
+      }
+      view.row = row(i);
+      view.satisfied_ = satisfied;
+      view.occ_ = occ;
+      view.vmin_ = vmin;
+      view.vmax_ = vmax;
+      fn(static_cast<const TupleView&>(view));
+    }
+  }
+
+ private:
+  friend class TupleScan;  // points the lanes at each block's columns
+
+  struct Lane {
+    const uint8_t* sat = nullptr;
+    const double* value = nullptr;
+  };
+
+  const uint32_t* ids_ = nullptr;
+  size_t first_ = 0;
+  size_t n_ = 0;
+  size_t m_ = 0;
+  const Lane* lanes_ = nullptr;
+  const double* prob_ = nullptr;
+  // m entries each: the row view's sat/value, rewritten per row.
+  uint8_t* row_sat_ = nullptr;
+  double* row_value_ = nullptr;
+};
+
+/// Adapts a per-row fold to `TupleScan::Run`:
+/// `scan.Run(rows, ctx, EachRow([&](const TupleView& t) { ... }))`.
+template <typename Fn>
+auto EachRow(Fn&& fn) {
+  return [&fn](const TupleBlock& block) { block.ForEachRow(fn); };
+}
+
 /// The by-tuple scan: the one place a (row, mapping) pair is evaluated and
 /// charged. Every O(n*m) kernel of the paper's Figures 2-5 (and the CLT
 /// moments, the COUNT occurrence pass, the MIN/MAX CDF events and the
-/// naive/sampler grid) is a fold over `Run`. Rows arrive in `RowSpan`
-/// order and, within a row, mappings in binding order, so a fold that
-/// accumulates in that order reproduces the hand-written loop bit for bit.
+/// naive/sampler grid) is a fold over `Run`. Blocks arrive in `RowSpan`
+/// order; a fold that accumulates rows in block order and, within a row,
+/// mappings in binding order reproduces the hand-written loop bit for bit.
 class TupleScan {
  public:
   /// Checks that `query` is a `func` query (kInvalidArgument otherwise) and
@@ -72,40 +188,26 @@ class TupleScan {
   const std::vector<double>& probabilities() const { return prob_; }
 
   /// Charges `rows` x mappings steps to `ctx` (none when null) and polls
-  /// its deadline, then calls `fold(const TupleView&)` once per row. The
-  /// WHERE clauses are evaluated a block of rows at a time, once per
-  /// distinct bound predicate.
+  /// its deadline, then calls `fold(const TupleBlock&)` once per block of
+  /// at most `BoundPredicate::kBlock` rows. The WHERE clauses are
+  /// evaluated once per block and distinct bound predicate. A fold that
+  /// carries running sums from block to block does a block's work in a
+  /// `[[gnu::noinline]]` function: inlined here, the sums would live
+  /// across this loop's calls, which clobber every SSE register, and GCC
+  /// keeps them in memory through the whole inner loop.
   template <typename Fold>
   Status Run(RowSpan rows, ExecContext* ctx, Fold&& fold) const {
-    const size_t m = bindings_.size();
     const size_t num_rows = rows.size(source_->num_rows());
-    AQUA_RETURN_NOT_OK(ExecCharge(ctx, num_rows * m));
+    AQUA_RETURN_NOT_OK(ExecCharge(ctx, num_rows * bindings_.size()));
     AQUA_RETURN_NOT_OK(ExecCheckNow(ctx));
     // Scratch sized once per call: a GROUP BY runs many tiny spans.
-    const size_t block = std::min(BoundPredicate::kBlock, num_rows);
-    std::vector<uint8_t> match(distinct_.size() * block);
-    BoundPredicate::Scratch scratch;
-    std::vector<uint8_t> sat(m);
-    std::vector<double> value(m);
-    TupleView view;
-    view.m = m;
-    view.sat = sat.data();
-    view.value = value.data();
-    view.prob = prob_.data();
-    rows.ForEachBlock(
-        source_->num_rows(), block,
-        [&](const uint32_t* ids, size_t first, size_t n) {
-          for (size_t p = 0; p < distinct_.size(); ++p) {
-            bindings_[distinct_[p]].predicate.MatchBlock(
-                *source_, ids, first, n, match.data() + p * block, &scratch);
-          }
-          for (size_t i = 0; i < n; ++i) {
-            const size_t r = ids != nullptr ? ids[first + i] : first + i;
-            Evaluate(r, match.data() + i, block, sat.data(), value.data(),
-                     &view);
-            fold(static_cast<const TupleView&>(view));
-          }
-        });
+    BlockScratch scratch(*this, std::min(BoundPredicate::kBlock, num_rows),
+                         rows.contiguous());
+    rows.ForEachBlock(source_->num_rows(), scratch.block,
+                      [&](const uint32_t* ids, size_t first, size_t n) {
+                        fold(static_cast<const TupleBlock&>(
+                            FillBlock(ids, first, n, &scratch)));
+                      });
     return Status::OK();
   }
 
@@ -121,42 +223,26 @@ class TupleScan {
   }
 
  private:
-  /// Fills `sat`/`value` for `row` and the rest of `view` from them, in
-  /// one pass over the mappings. `match[slot_[j] * stride]` is the row's
-  /// WHERE outcome under mapping j. Inline, so that a fold which never
-  /// reads occ/vmin/vmax does not pay for them.
-  void Evaluate(size_t row, const uint8_t* match, size_t stride,
-                uint8_t* sat, double* value, TupleView* view) const {
-    // Sums and the member arrays live in locals: the byte stores to `sat`
-    // may alias anything, and would otherwise force reloads per mapping.
-    const size_t m = bindings_.size();
-    const Reformulator::MappingBinding* const bindings = bindings_.data();
-    const size_t* const slot = slot_.data();
-    const double* const prob = prob_.data();
-    size_t satisfied = 0;
-    double occ = 0.0;
-    double vmin = 0.0;
-    double vmax = 0.0;
-    for (size_t j = 0; j < m; ++j) {
-      const Column* attribute = bindings[j].attribute;
-      const bool s = match[slot[j] * stride] != 0 &&
-                     (attribute == nullptr || !attribute->IsNull(row));
-      sat[j] = s ? 1 : 0;
-      value[j] = 0.0;
-      if (!s) continue;
-      const double v = attribute != nullptr ? attribute->NumericAt(row) : 0.0;
-      value[j] = v;
-      occ += prob[j];
-      vmin = satisfied == 0 ? v : std::min(vmin, v);
-      vmax = satisfied == 0 ? v : std::max(vmax, v);
-      ++satisfied;
-    }
-    view->row = row;
-    view->satisfied_ = satisfied;
-    view->occ_ = occ;
-    view->vmin_ = vmin;
-    view->vmax_ = vmax;
-  }
+  /// The buffers of one `Run`: O(m * block), allocated once.
+  struct BlockScratch {
+    BlockScratch(const TupleScan& scan, size_t block, bool contiguous);
+
+    size_t block;
+    // The distinct predicates' match blocks, then a sat block for each
+    // mapping whose attribute has NULLs, then the row view's m bytes.
+    std::vector<uint8_t> bytes;
+    // A value block for each mapping whose values are gathered (an id
+    // list, or an int64/date attribute), then the row view's m values.
+    std::vector<double> values;
+    std::vector<TupleBlock::Lane> lanes;
+    BoundPredicate::Scratch nodes;
+    TupleBlock view;
+  };
+
+  /// Evaluates the block's predicates and points every lane at its
+  /// columns.
+  const TupleBlock& FillBlock(const uint32_t* ids, size_t first, size_t n,
+                              BlockScratch* scratch) const;
 
   const Table* source_ = nullptr;
   std::vector<Reformulator::MappingBinding> bindings_;

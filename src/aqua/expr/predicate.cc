@@ -137,21 +137,56 @@ bool TypesComparable(ValueType column, ValueType literal) {
   return column == literal;
 }
 
-Tri TriAnd(Tri a, Tri b) {
-  if (a == Tri::kFalse || b == Tri::kFalse) return Tri::kFalse;
-  if (a == Tri::kTrue && b == Tri::kTrue) return Tri::kTrue;
-  return Tri::kUnknown;
+// Kleene's connectives on the bits of truth bytes, eight bytes to a
+// 64-bit word: TRUE (1) is bit 0, UNKNOWN (2) bit 1, FALSE (0) neither.
+// Every operation acts on each byte alone, with no branch on the data;
+// predicate_test checks them against TriAnd/TriOr/TriNot on all nine
+// pairs.
+constexpr uint64_t kLowBits = 0x0101010101010101u;  // bit 0 of every byte
+
+uint64_t TrueBits(uint64_t x) { return x & kLowBits; }
+uint64_t UnknownBits(uint64_t x) { return (x >> 1) & kLowBits; }
+uint64_t TruthBytes(uint64_t true_bits, uint64_t unknown_bits) {
+  return true_bits | (unknown_bits << 1);
 }
 
-Tri TriOr(Tri a, Tri b) {
-  if (a == Tri::kTrue || b == Tri::kTrue) return Tri::kTrue;
-  if (a == Tri::kFalse && b == Tri::kFalse) return Tri::kFalse;
-  return Tri::kUnknown;
-}
+/// FALSE if either side is, TRUE if both are, UNKNOWN otherwise.
+constexpr auto kKleeneAnd = [](uint64_t a, uint64_t b) {
+  const uint64_t t = TrueBits(a) & TrueBits(b);
+  const uint64_t not_false =
+      (TrueBits(a) | UnknownBits(a)) & (TrueBits(b) | UnknownBits(b));
+  return TruthBytes(t, not_false & ~t);
+};
 
-Tri TriNot(Tri a) {
-  if (a == Tri::kUnknown) return Tri::kUnknown;
-  return a == Tri::kTrue ? Tri::kFalse : Tri::kTrue;
+/// TRUE if either side is, FALSE if both are, UNKNOWN otherwise.
+constexpr auto kKleeneOr = [](uint64_t a, uint64_t b) {
+  const uint64_t t = TrueBits(a) | TrueBits(b);
+  return TruthBytes(t, (UnknownBits(a) | UnknownBits(b)) & ~t & kLowBits);
+};
+
+/// TRUE and FALSE swap; UNKNOWN stays. The right operand is ignored.
+constexpr auto kKleeneNot = [](uint64_t a, uint64_t) {
+  return TruthBytes(~(TrueBits(a) | UnknownBits(a)) & kLowBits,
+                    UnknownBits(a));
+};
+
+/// `out[k] = op(l[k], r[k])` over a block of bytes, a word at a time.
+template <typename Op, typename L, typename R, typename Out>
+void CombineBlock(Op op, const L* l, const R* r, size_t n, Out* out) {
+  static_assert(sizeof(L) == 1 && sizeof(R) == 1 && sizeof(Out) == 1);
+  size_t k = 0;
+  for (; k + sizeof(uint64_t) <= n; k += sizeof(uint64_t)) {
+    uint64_t a = 0;
+    uint64_t b = 0;
+    std::memcpy(&a, l + k, sizeof a);
+    std::memcpy(&b, r + k, sizeof b);
+    const uint64_t c = op(a, b);
+    std::memcpy(out + k, &c, sizeof c);
+  }
+  for (; k < n; ++k) {
+    out[k] = static_cast<Out>(
+        op(static_cast<uint64_t>(l[k]), static_cast<uint64_t>(r[k])));
+  }
 }
 
 bool ApplyOp(CompareOp op, int cmp) {
@@ -489,35 +524,39 @@ void BoundPredicate::MatchBlock(const Table& table, const uint32_t* ids,
           }
         }
         if (col.has_nulls()) {
-          for (size_t k = 0; k < n; ++k) {
-            if (col.IsNull(ids != nullptr ? ids[first + k] : first + k)) {
-              v[k] = Tri::kUnknown;
+          // A NULL cell is UNKNOWN whatever the compare said: a byte
+          // select on the 0/1 NULL flag, with no branch on the data.
+          const uint8_t* const nulls = col.nulls().data();
+          auto unknown_where = [](uint64_t truth, uint64_t null) {
+            const uint64_t mask = null * 0xff;  // 0x00 or 0xff per byte
+            return (truth & ~mask) | TruthBytes(0, null);
+          };
+          if (ids != nullptr) {
+            for (size_t k = 0; k < n; ++k) {
+              v[k] = static_cast<Tri>(unknown_where(
+                  static_cast<uint64_t>(v[k]), nulls[ids[first + k]]));
             }
+          } else {
+            CombineBlock(unknown_where, v, nulls + first, n, v);
           }
         }
         break;
       }
-      case Predicate::Kind::kAnd: {
-        const Tri* const l = child(node.left);
-        const Tri* const r = child(node.right);
-        for (size_t k = 0; k < n; ++k) v[k] = TriAnd(l[k], r[k]);
+      case Predicate::Kind::kAnd:
+        CombineBlock(kKleeneAnd, child(node.left), child(node.right), n, v);
         break;
-      }
-      case Predicate::Kind::kOr: {
-        const Tri* const l = child(node.left);
-        const Tri* const r = child(node.right);
-        for (size_t k = 0; k < n; ++k) v[k] = TriOr(l[k], r[k]);
+      case Predicate::Kind::kOr:
+        CombineBlock(kKleeneOr, child(node.left), child(node.right), n, v);
         break;
-      }
-      case Predicate::Kind::kNot: {
-        const Tri* const l = child(node.left);
-        for (size_t k = 0; k < n; ++k) v[k] = TriNot(l[k]);
+      case Predicate::Kind::kNot:
+        CombineBlock(kKleeneNot, child(node.left), child(node.left), n, v);
         break;
-      }
     }
   }
+  // TRUE is exactly the bytes with bit 0 set.
   const Tri* const root = vals + static_cast<size_t>(root_) * n;
-  for (size_t k = 0; k < n; ++k) out[k] = root[k] == Tri::kTrue ? 1 : 0;
+  CombineBlock([](uint64_t a, uint64_t) { return TrueBits(a); }, root, root,
+               n, out);
 }
 
 }  // namespace aqua

@@ -85,6 +85,23 @@ class Predicate {
 /// SQL three-valued truth value.
 enum class Tri : uint8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
 
+/// Kleene's strong three-valued connectives, the SQL rules for AND, OR and
+/// NOT: FALSE absorbs AND, TRUE absorbs OR, and UNKNOWN is what is left.
+constexpr Tri TriAnd(Tri a, Tri b) {
+  if (a == Tri::kFalse || b == Tri::kFalse) return Tri::kFalse;
+  if (a == Tri::kTrue && b == Tri::kTrue) return Tri::kTrue;
+  return Tri::kUnknown;
+}
+constexpr Tri TriOr(Tri a, Tri b) {
+  if (a == Tri::kTrue || b == Tri::kTrue) return Tri::kTrue;
+  if (a == Tri::kFalse && b == Tri::kFalse) return Tri::kFalse;
+  return Tri::kUnknown;
+}
+constexpr Tri TriNot(Tri a) {
+  if (a == Tri::kUnknown) return Tri::kUnknown;
+  return a == Tri::kTrue ? Tri::kFalse : Tri::kTrue;
+}
+
 /// A predicate compiled against a concrete schema: attribute names are
 /// resolved to column indices and literals are type-checked, so per-row
 /// evaluation does no name lookups or type dispatch on strings.

@@ -76,6 +76,9 @@ class Column {
   const std::vector<double>& doubles() const { return doubles_; }
   const std::vector<int32_t>& date_days() const { return dates_; }
   const std::vector<std::string>& strings() const { return strings_; }
+  /// One byte per row, 1 where the cell is NULL; sized only once
+  /// `has_nulls()`, empty before.
+  const std::vector<uint8_t>& nulls() const { return nulls_; }
 
  private:
   void GrowNulls(bool is_null);

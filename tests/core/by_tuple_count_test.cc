@@ -166,9 +166,9 @@ Distribution FullBandDist(const AggregateQuery& query,
   const TupleScan scan =
       *TupleScan::Bind(query, AggregateFunction::kCount, pmapping, source);
   std::vector<double> occs;
-  EXPECT_TRUE(scan.Run({}, nullptr, [&](const TupleView& t) {
+  EXPECT_TRUE(scan.Run({}, nullptr, EachRow([&](const TupleView& t) {
                     occs.push_back(t.occ());
-                  }).ok());
+                  })).ok());
   const size_t n = occs.size();
   std::vector<double> pd(n + 1, 0.0);
   pd[0] = 1.0;

@@ -1,6 +1,8 @@
 #include "aqua/core/tuple_scan.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "aqua/core/clt.h"
 #include "aqua/query/parser.h"
 #include "aqua/storage/table_builder.h"
+#include "tuple_scan_oracle.h"
 
 namespace aqua {
 namespace {
@@ -22,7 +25,9 @@ constexpr size_t kRows = 60;
 
 // Source S: numeric columns with NULLs, two date and two string columns,
 // so the three candidate mappings bind every comparison kind differently.
-Table MakeSource(size_t rows = kRows) {
+// With `specials`, every fifth cell of the double columns a and b is NaN,
+// -0.0, an infinity or a subnormal instead.
+Table MakeSource(size_t rows = kRows, bool specials = false) {
   Schema schema = *Schema::Make({{"id", ValueType::kInt64},
                                  {"a", ValueType::kDouble},
                                  {"b", ValueType::kDouble},
@@ -41,11 +46,21 @@ Table MakeSource(size_t rows = kRows) {
     return Value::FromDate(
         *Date::FromYmd(2008, 1, static_cast<int>(rng.UniformInt(1, 20))));
   };
+  const double kSpecials[] = {std::nan(""), -0.0,
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::denorm_min()};
+  auto number = [&](double v) {
+    if (specials && rng.UniformInt(0, 4) == 0) {
+      v = kSpecials[rng.UniformInt(0, 4)];
+    }
+    return maybe_null(Value::Double(v));
+  };
   for (size_t r = 0; r < rows; ++r) {
     const Status s = builder.AppendRow(
         {Value::Int64(static_cast<int64_t>(r)),
-         maybe_null(Value::Double(0.25 * rng.UniformInt(-8, 40))),
-         maybe_null(Value::Double(0.5 * rng.UniformInt(0, 20))),
+         number(0.25 * static_cast<double>(rng.UniformInt(-8, 40))),
+         number(0.5 * static_cast<double>(rng.UniformInt(0, 20))),
          maybe_null(Value::Int64(rng.UniformInt(-3, 9))), maybe_null(day()),
          maybe_null(day()),
          maybe_null(Value::String(words[rng.UniformInt(0, 4)])),
@@ -98,6 +113,7 @@ class TupleScanTest : public ::testing::Test {
  protected:
   Table source_ = MakeSource();
   Table big_ = MakeSource(kBigRows);
+  Table special_ = MakeSource(kBigRows, /*specials=*/true);
   PMapping pmapping_ = MakePMapping();
   std::vector<uint32_t> ids_ = {3, 17, 0, 59, 17, 22, 41, 8};
   std::vector<uint32_t> all_ids_ = AllIds(kRows);
@@ -112,43 +128,62 @@ class TupleScanTest : public ::testing::Test {
   }();
 };
 
-// The oracle for one row of the scan: BoundPredicate::Eval under each
-// binding plus the NULL rule for the aggregated attribute, and the
-// summaries folded in mapping order. Counts the cells of each outcome.
-void ExpectViewMatchesOracle(
-    const TupleView& t,
-    const std::vector<Reformulator::MappingBinding>& bindings,
-    const Table& source, size_t* sat_cells, size_t* unsat_cells) {
-  ASSERT_EQ(t.m, bindings.size());
-  size_t satisfied = 0;
-  double occ = 0.0;
-  double vmin = 0.0;
-  double vmax = 0.0;
+// A row view against the per-row oracle's row, bit for bit. Counts the
+// cells of each outcome.
+void ExpectViewMatchesOracle(const TupleView& t, const oracle::Row& o,
+                             const std::vector<double>& prob,
+                             size_t* sat_cells, size_t* unsat_cells) {
+  ASSERT_EQ(t.m, o.sat.size());
+  EXPECT_EQ(t.row, o.row);
   for (size_t j = 0; j < t.m; ++j) {
-    const Reformulator::MappingBinding& b = bindings[j];
-    const bool sat = b.predicate.Eval(source, t.row) == Tri::kTrue &&
-                     (b.attribute == nullptr || !b.attribute->IsNull(t.row));
-    const double value =
-        sat && b.attribute != nullptr ? b.attribute->NumericAt(t.row) : 0.0;
-    EXPECT_EQ(t.sat[j] != 0, sat) << "row " << t.row << " mapping " << j;
-    EXPECT_EQ(t.value[j], value) << "row " << t.row << " mapping " << j;
-    EXPECT_EQ(t.prob[j], b.probability);
-    ++(sat ? *sat_cells : *unsat_cells);
-    if (!sat) continue;
-    occ += b.probability;
-    vmin = satisfied == 0 ? value : std::min(vmin, value);
-    vmax = satisfied == 0 ? value : std::max(vmax, value);
-    ++satisfied;
+    EXPECT_EQ(t.sat[j], o.sat[j]) << "row " << t.row << " mapping " << j;
+    EXPECT_TRUE(oracle::SameBits(t.value[j], o.value[j]))
+        << "row " << t.row << " mapping " << j;
+    EXPECT_EQ(t.prob[j], prob[j]);
+    ++(o.sat[j] != 0 ? *sat_cells : *unsat_cells);
   }
-  EXPECT_EQ(t.any(), satisfied > 0);
-  EXPECT_EQ(t.all(), satisfied == t.m);
-  EXPECT_EQ(t.occ(), occ);
-  EXPECT_EQ(t.vmin(), vmin);
-  EXPECT_EQ(t.vmax(), vmax);
+  EXPECT_EQ(t.any(), o.any());
+  EXPECT_EQ(t.all(), o.all());
+  EXPECT_TRUE(oracle::SameBits(t.occ(), o.occ)) << "row " << t.row;
+  EXPECT_TRUE(oracle::SameBits(t.vmin(), o.vmin)) << "row " << t.row;
+  EXPECT_TRUE(oracle::SameBits(t.vmax(), o.vmax)) << "row " << t.row;
+}
+
+// A block's columns and summaries against the oracle's rows
+// [first, first + block.size()), bit for bit.
+void ExpectBlockMatchesOracle(const TupleBlock& block,
+                              const std::vector<oracle::Row>& rows,
+                              size_t first) {
+  ASSERT_LE(first + block.size(), rows.size());
+  uint8_t any[BoundPredicate::kBlock];
+  uint8_t all[BoundPredicate::kBlock];
+  block.AnyAll(any, all);
+  TupleBlock::Summary e;
+  block.Extremes(&e);
+  double occ[BoundPredicate::kBlock];
+  block.Occ(occ);
+  for (size_t i = 0; i < block.size(); ++i) {
+    const oracle::Row& o = rows[first + i];
+    ASSERT_EQ(block.row(i), o.row);
+    for (size_t j = 0; j < block.m(); ++j) {
+      ASSERT_EQ(block.sat(j)[i], o.sat[j]) << "row " << o.row;
+      if (o.sat[j] != 0) {
+        EXPECT_TRUE(oracle::SameBits(block.value(j)[i], o.value[j]))
+            << "row " << o.row << " mapping " << j;
+      }
+    }
+    EXPECT_EQ(any[i], o.any() ? 1 : 0) << "row " << o.row;
+    EXPECT_EQ(all[i], o.all() ? 1 : 0) << "row " << o.row;
+    EXPECT_EQ(e.any[i], any[i]);
+    EXPECT_EQ(e.all[i], all[i]);
+    EXPECT_TRUE(oracle::SameBits(e.vmin[i], o.vmin)) << "row " << o.row;
+    EXPECT_TRUE(oracle::SameBits(e.vmax[i], o.vmax)) << "row " << o.row;
+    EXPECT_TRUE(oracle::SameBits(occ[i], o.occ)) << "row " << o.row;
+  }
 }
 
 // On the small source and on big_, whose spans cross a block boundary.
-TEST_F(TupleScanTest, ViewMatchesEvalAndNullRuleOnEveryRow) {
+TEST_F(TupleScanTest, BlocksAndRowViewsMatchThePerRowOracle) {
   constexpr size_t kB = BoundPredicate::kBlock;
   const struct {
     const Table* table;
@@ -157,12 +192,15 @@ TEST_F(TupleScanTest, ViewMatchesEvalAndNullRuleOnEveryRow) {
       {&source_, {RowSpan(), RowSpan::Range(5, 47), RowSpan(&ids_)}},
       {&big_,
        {RowSpan(), RowSpan::Range(kB - 20, kB + 30), RowSpan(&big_ids_)}},
+      {&special_,
+       {RowSpan(), RowSpan::Range(kB - 20, kB + 30), RowSpan(&big_ids_)}},
   };
   size_t sat_cells = 0;
   size_t unsat_cells = 0;
   for (const auto& source : sources) {
     const Table& table = *source.table;
-    for (const std::string agg : {"COUNT(*)", "COUNT(v)", "SUM(v)"}) {
+    for (const std::string agg :
+         {"COUNT(*)", "COUNT(v)", "SUM(v)", "SUM(w)", "MAX(day)"}) {
       for (const char* condition : kConditions) {
         const AggregateQuery q = Query(agg, condition);
         SCOPED_TRACE(agg + condition);
@@ -171,21 +209,22 @@ TEST_F(TupleScanTest, ViewMatchesEvalAndNullRuleOnEveryRow) {
         const auto scan = TupleScan::Bind(q, q.func, pmapping_, table);
         ASSERT_TRUE(scan.ok()) << scan.status().ToString();
         for (const RowSpan& span : source.spans) {
-          const size_t rows = table.num_rows();
-          std::vector<size_t> expected_rows;
-          for (size_t i = 0; i < span.size(rows); ++i) {
-            expected_rows.push_back(span.row(i));
-          }
-          std::vector<size_t> seen_rows;
-          auto check = [&](const TupleView& t) {
-            seen_rows.push_back(t.row);
-            ExpectViewMatchesOracle(t, *bindings, table, &sat_cells,
-                                    &unsat_cells);
-          };
+          const std::vector<oracle::Row> expected =
+              oracle::Scan(*bindings, table, span);
+          size_t seen = 0;
           ExecContext ctx;
-          ASSERT_TRUE(scan->Run(span, &ctx, check).ok());
-          EXPECT_EQ(seen_rows, expected_rows);
-          EXPECT_EQ(ctx.steps(), expected_rows.size() * bindings->size());
+          ASSERT_TRUE(scan->Run(span, &ctx, [&](const TupleBlock& block) {
+                            ExpectBlockMatchesOracle(block, expected, seen);
+                            block.ForEachRow([&](const TupleView& t) {
+                              ASSERT_LT(seen, expected.size());
+                              ExpectViewMatchesOracle(
+                                  t, expected[seen++],
+                                  scan->probabilities(), &sat_cells,
+                                  &unsat_cells);
+                            });
+                          }).ok());
+          EXPECT_EQ(seen, expected.size());
+          EXPECT_EQ(ctx.steps(), expected.size() * bindings->size());
         }
       }
     }
@@ -196,7 +235,7 @@ TEST_F(TupleScanTest, ViewMatchesEvalAndNullRuleOnEveryRow) {
 }
 
 // Mappings whose bindings compile to the same nodes share one block
-// evaluation; the view is the per-row oracle's either way.
+// evaluation; the rows are the per-row oracle's either way.
 TEST_F(TupleScanTest, MappingsThatBindTheSameColumnsShareOnePredicate) {
   struct Case {
     const char* condition;
@@ -222,10 +261,15 @@ TEST_F(TupleScanTest, MappingsThatBindTheSameColumnsShareOnePredicate) {
     size_t sat_cells = 0;
     size_t unsat_cells = 0;
     for (const RowSpan& span : {RowSpan(), RowSpan(&big_ids_)}) {
-      ASSERT_TRUE(scan->Run(span, nullptr, [&](const TupleView& t) {
-                        ExpectViewMatchesOracle(t, b, big_, &sat_cells,
-                                                &unsat_cells);
-                      }).ok());
+      const std::vector<oracle::Row> expected = oracle::Scan(b, big_, span);
+      size_t seen = 0;
+      ASSERT_TRUE(scan->Run(span, nullptr, EachRow([&](const TupleView& t) {
+                              ExpectViewMatchesOracle(
+                                  t, expected[seen++], scan->probabilities(),
+                                  &sat_cells, &unsat_cells);
+                            }))
+                      .ok());
+      EXPECT_EQ(seen, expected.size());
     }
     EXPECT_GT(sat_cells, 0u);
   }
@@ -239,13 +283,14 @@ TEST_F(TupleScanTest, SubSpansConcatenateToTheWhole) {
     const size_t n = span.size(kRows);
     std::vector<double> whole;
     auto to_whole = [&](const TupleView& t) { whole.push_back(t.vmax()); };
-    ASSERT_TRUE(scan->Run(span, nullptr, to_whole).ok());
+    ASSERT_TRUE(scan->Run(span, nullptr, EachRow(to_whole)).ok());
     std::vector<double> pieces;
     auto to_pieces = [&](const TupleView& t) { pieces.push_back(t.vmax()); };
     for (size_t begin = 0; begin < n; begin += 7) {
       const size_t end = std::min(n, begin + 7);
       ExecContext ctx;
-      ASSERT_TRUE(scan->Run(span.Sub(begin, end), &ctx, to_pieces).ok());
+      ASSERT_TRUE(
+          scan->Run(span.Sub(begin, end), &ctx, EachRow(to_pieces)).ok());
       EXPECT_EQ(ctx.steps(), (end - begin) * scan->num_mappings());
     }
     EXPECT_EQ(pieces, whole);
@@ -260,9 +305,84 @@ TEST_F(TupleScanTest, ChargesTheWholeSpanBeforeEvaluating) {
   limits.max_steps = kRows * scan->num_mappings() - 1;
   ExecContext ctx(limits);
   size_t folded = 0;
-  const Status s = scan->Run({}, &ctx, [&](const TupleView&) { ++folded; });
+  const Status s = scan->Run({}, &ctx, [&](const TupleBlock&) { ++folded; });
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(folded, 0u);
+}
+
+// The block kernels of the range and expected-value cells against their
+// per-row folds, bit for bit (NaN, signed zeros and infinities included),
+// with the steps charged: every span shape, blocks ending mid-span.
+TEST_F(TupleScanTest, BlockKernelsMatchThePerRowFolds) {
+  constexpr size_t kB = BoundPredicate::kBlock;
+  const std::vector<uint32_t> big_all_ids = AllIds(kBigRows);
+  const std::vector<RowSpan> spans = {
+      RowSpan(), RowSpan::Range(kB - 1, kBigRows), RowSpan::Range(3, kB + 4),
+      RowSpan(&big_ids_), RowSpan(&big_all_ids)};
+  size_t compared = 0;
+  for (const Table* table : {&big_, &special_}) {
+    for (const char* condition : kConditions) {
+      for (const char* attribute : {"v", "w", "day"}) {
+        auto query = [&](const char* func) {
+          return Query(std::string(func) + "(" + attribute + ")", condition);
+        };
+        // SUM and AVG take int64 and double attributes, not dates.
+        const bool numeric = std::string(attribute) != "day";
+        const AggregateQuery sum = query("SUM");
+        const AggregateQuery max = query("MAX");
+        SCOPED_TRACE(std::string(attribute) + condition);
+        const auto bindings = Reformulator::BindAll(max, pmapping_, *table);
+        ASSERT_TRUE(bindings.ok()) << bindings.status().ToString();
+        const std::vector<double> prob =
+            TupleScan::Bind(max, max.func, pmapping_, *table)
+                ->probabilities();
+        for (const RowSpan& span : spans) {
+          const std::vector<oracle::Row> rows =
+              oracle::Scan(*bindings, *table, span);
+          const uint64_t steps = rows.size() * prob.size();
+          auto same = [&](const char* name, auto got, const auto& want,
+                          const ExecContext& ctx) {
+            SCOPED_TRACE(name);
+            EXPECT_EQ(ctx.steps(), steps);
+            ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString();
+            if (got.ok()) {
+              EXPECT_TRUE(oracle::SameBits(*got, *want))
+                  << ::testing::PrintToString(*got) << " vs "
+                  << ::testing::PrintToString(*want);
+            }
+            ++compared;
+          };
+          const PMapping& pm = pmapping_;
+          const Table& t = *table;
+          ExecContext c[8];
+          same("CountRange", ByTupleCount::Range(query("COUNT"), pm, t, span,
+                                                 &c[0]),
+               Result<Interval>(oracle::RangeCount(rows)), c[0]);
+          same("CountExpected",
+               ByTupleCount::Expected(query("COUNT"), pm, t, span, &c[1]),
+               Result<double>(oracle::ExpectedCount(rows, prob)), c[1]);
+          same("RangeMin",
+               ByTupleMinMax::RangeMin(query("MIN"), pm, t, span, &c[6]),
+               oracle::RangeExtremum(rows, /*max=*/false), c[6]);
+          same("RangeMax", ByTupleMinMax::RangeMax(max, pm, t, span, &c[7]),
+               oracle::RangeExtremum(rows, /*max=*/true), c[7]);
+          if (!numeric) continue;
+          same("RangeSum", ByTupleSum::RangeSum(sum, pm, t, span, &c[2]),
+               Result<Interval>(oracle::RangeSum(rows)), c[2]);
+          same("ExpectedSumLinear",
+               ByTupleSum::ExpectedSumLinear(sum, pm, t, span, &c[3]),
+               Result<double>(oracle::ExpectedSum(rows, prob)), c[3]);
+          same("RangeAvgPaper",
+               ByTupleSum::RangeAvgPaper(query("AVG"), pm, t, span, &c[4]),
+               oracle::RangeAvgPaper(rows), c[4]);
+          same("RangeAvgExact",
+               ByTupleSum::RangeAvgExact(query("AVG"), pm, t, span, &c[5]),
+               oracle::RangeAvgExact(rows), c[5]);
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
 }
 
 TEST_F(TupleScanTest, BindChecksAggregateAndDistinctPolicy) {
@@ -442,16 +562,16 @@ TEST_F(TupleScanTest, GridMatchesTheScan) {
   const auto scan = TupleScan::Bind(q, q.func, pmapping_, source_);
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(grid->prob, scan->probabilities());
-  size_t i = 0;
-  auto check = [&](const TupleView& t) {
-    for (size_t j = 0; j < t.m; ++j) {
-      EXPECT_EQ(grid->Sat(i, j), t.sat[j] != 0);
-      EXPECT_EQ(grid->Val(i, j), t.value[j]);
+  const auto bindings = Reformulator::BindAll(q, pmapping_, source_);
+  ASSERT_TRUE(bindings.ok());
+  const std::vector<oracle::Row> rows =
+      oracle::Scan(*bindings, source_, &ids_);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t j = 0; j < grid->m; ++j) {
+      EXPECT_EQ(grid->Sat(i, j), rows[i].sat[j] != 0);
+      EXPECT_TRUE(oracle::SameBits(grid->Val(i, j), rows[i].value[j]));
     }
-    ++i;
-  };
-  ASSERT_TRUE(scan->Run(&ids_, nullptr, check).ok());
-  EXPECT_EQ(i, ids_.size());
+  }
   const auto distinct = BuildTupleMappingGrid(Query("SUM(DISTINCT v)", ""),
                                               pmapping_, source_, {});
   EXPECT_EQ(distinct.status().code(), StatusCode::kUnimplemented);

@@ -496,5 +496,118 @@ TEST(MatchBlockTest, EqualityIsSameCompiledNodes) {
   EXPECT_FALSE(bind("i", Value::Int64(1)) == bind("i", Value::Double(1.0)));
 }
 
+// ---------------------------------------------------------------------------
+// Kleene's tables: MatchBlock's AND, OR and NOT against TriAnd/TriOr/TriNot
+// and against the SQL truth tables written out, on all nine pairs of
+// {FALSE, TRUE, UNKNOWN}, each side a comparison over an int64, a double or
+// a date column that is NULL where the side is UNKNOWN.
+
+constexpr Tri kTruths[] = {Tri::kFalse, Tri::kTrue, Tri::kUnknown};
+
+// Row r holds the pair (kTruths[(r / 3) % 3], kTruths[r % 3]): the left
+// columns (suffix _l) are true, false or NULL as the first, the right
+// ones (_r) as the second. 27 rows, so that MatchBlock combines whole
+// 8-row words and a tail.
+Table KleeneTable() {
+  TableBuilder builder(*Schema::Make(
+      {{"i_l", ValueType::kInt64}, {"x_l", ValueType::kDouble},
+       {"d_l", ValueType::kDate}, {"i_r", ValueType::kInt64},
+       {"x_r", ValueType::kDouble}, {"d_r", ValueType::kDate}}));
+  const Date day = *Date::FromYmd(2008, 1, 2);
+  const Date other = *Date::FromYmd(2008, 1, 3);
+  auto cells = [&](Tri t) -> std::vector<Value> {
+    if (t == Tri::kUnknown) {
+      return {Value::Null(), Value::Null(), Value::Null()};
+    }
+    const bool holds = t == Tri::kTrue;
+    return {Value::Int64(holds ? 1 : 0), Value::Double(holds ? 1.5 : -1.5),
+            Value::FromDate(holds ? day : other)};
+  };
+  for (size_t r = 0; r < 27; ++r) {
+    std::vector<Value> row = cells(kTruths[(r / 3) % 3]);
+    for (Value& v : cells(kTruths[r % 3])) row.push_back(std::move(v));
+    EXPECT_TRUE(builder.AppendRow(row).ok());
+  }
+  return *std::move(builder).Finish();
+}
+
+// The truth value of `pred` on every row, read back from MatchBlock: TRUE
+// where it matches, FALSE where its negation does, UNKNOWN where neither.
+std::vector<Tri> BlockTruths(const PredicatePtr& pred, const Table& t,
+                             const uint32_t* ids, size_t n) {
+  const BoundPredicate holds = *BoundPredicate::Bind(pred, t.schema());
+  const BoundPredicate fails =
+      *BoundPredicate::Bind(Predicate::Not(pred), t.schema());
+  std::vector<uint8_t> yes(n);
+  std::vector<uint8_t> no(n);
+  BoundPredicate::Scratch scratch;
+  holds.MatchBlock(t, ids, 0, n, yes.data(), &scratch);
+  fails.MatchBlock(t, ids, 0, n, no.data(), &scratch);
+  std::vector<Tri> out;
+  for (size_t k = 0; k < n; ++k) {
+    EXPECT_FALSE(yes[k] != 0 && no[k] != 0) << "row " << k;
+    out.push_back(yes[k] != 0  ? Tri::kTrue
+                  : no[k] != 0 ? Tri::kFalse
+                               : Tri::kUnknown);
+  }
+  return out;
+}
+
+TEST(MatchBlockTest, KleeneAndOrNotOnAllNinePairs) {
+  // The SQL tables, indexed [left][right] in the order of kTruths.
+  constexpr Tri F = Tri::kFalse, T = Tri::kTrue, U = Tri::kUnknown;
+  constexpr Tri kAnd[3][3] = {{F, F, F}, {F, T, U}, {F, U, U}};
+  constexpr Tri kOr[3][3] = {{F, T, U}, {T, T, T}, {U, T, U}};
+  constexpr Tri kNot[3] = {T, F, U};
+  for (size_t a = 0; a < 3; ++a) {
+    EXPECT_EQ(TriNot(kTruths[a]), kNot[a]);
+    for (size_t b = 0; b < 3; ++b) {
+      EXPECT_EQ(TriAnd(kTruths[a], kTruths[b]), kAnd[a][b]);
+      EXPECT_EQ(TriOr(kTruths[a], kTruths[b]), kOr[a][b]);
+    }
+  }
+
+  const Table t = KleeneTable();
+  const size_t n = t.num_rows();
+  std::vector<uint32_t> reversed(n);
+  for (size_t k = 0; k < n; ++k) {
+    reversed[k] = static_cast<uint32_t>(n - 1 - k);
+  }
+  auto side = [](const std::string& column) {
+    const char type = column[0];
+    return Predicate::Comparison(
+        column, CompareOp::kEq,
+        type == 'i'   ? Value::Int64(1)
+        : type == 'x' ? Value::Double(1.5)
+                      : Value::String("2008-1-2"));
+  };
+  size_t checked = 0;
+  for (const char* l : {"i_l", "x_l", "d_l"}) {
+    for (const char* r : {"i_r", "x_r", "d_r"}) {
+      SCOPED_TRACE(std::string(l) + ", " + r);
+      const PredicatePtr left = side(l);
+      const PredicatePtr right = side(r);
+      for (const bool by_id : {false, true}) {
+        const uint32_t* ids = by_id ? reversed.data() : nullptr;
+        const auto left_truths = BlockTruths(left, t, ids, n);
+        const auto ands = BlockTruths(Predicate::And(left, right), t, ids, n);
+        const auto ors = BlockTruths(Predicate::Or(left, right), t, ids, n);
+        const auto nots = BlockTruths(Predicate::Not(left), t, ids, n);
+        for (size_t k = 0; k < n; ++k) {
+          const size_t row = by_id ? reversed[k] : k;
+          const size_t a = (row / 3) % 3;
+          const size_t b = row % 3;
+          ASSERT_EQ(left_truths[k], kTruths[a]) << "row " << row;
+          EXPECT_EQ(ands[k], TriAnd(kTruths[a], kTruths[b])) << "row " << row;
+          EXPECT_EQ(ors[k], TriOr(kTruths[a], kTruths[b])) << "row " << row;
+          EXPECT_EQ(nots[k], TriNot(kTruths[a])) << "row " << row;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 9u * 2 * 27);
+}
+
 }  // namespace
 }  // namespace aqua

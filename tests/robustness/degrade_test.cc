@@ -111,8 +111,8 @@ TEST_F(DegradeFixture, DegradeSampleAnswersDistributionApproximately) {
   EXPECT_NE(answer->note.find("degraded to sampling"), std::string::npos)
       << answer->note;
   EXPECT_EQ(answer->semantics, AggregateSemantics::kDistribution);
-  // Exact pass + degraded pass each run under their own 50ms budget; the
-  // loose factor absorbs CI noise.
+  // The exact pass stops at half the 50 ms deadline and the degraded pass
+  // at the deadline itself; the loose factor absorbs CI noise.
   EXPECT_LT(elapsed.count(), 2000) << elapsed.count() << "ms";
 
   // The empirical distribution's mean must agree with the exact expected
@@ -122,6 +122,40 @@ TEST_F(DegradeFixture, DegradeSampleAnswersDistributionApproximately) {
   const auto approx_mean = answer->distribution.Expectation();
   ASSERT_TRUE(approx_mean.ok());
   EXPECT_NEAR(*approx_mean, *exact, 0.05 * *exact);
+}
+
+TEST_F(DegradeFixture, DeadlineBoundsTheExactAndDegradedPassesTogether) {
+  // The exact pass first spends 200 ms of a 400 ms deadline (a delay on
+  // its failpoint), then the naive sequence guard refuses 24 tuples at
+  // once. The sampler is asked for far more samples than fit in the time,
+  // so it runs until a deadline stops it: the request's, 400 ms after the
+  // start, not a fresh 400 ms window of its own, which would end at about
+  // 600 ms. The slack covers building the answer from every sample drawn
+  // (about a million distinct sums to merge and sort) and a loaded machine.
+  fault::ScopedFailpoint fp("core/engine/exact", "delay(200)");
+  ASSERT_TRUE(fp.status().ok());
+  constexpr int64_t kDeadlineMs = 400;
+  constexpr int64_t kSlackMs = 100;
+  EngineOptions options;
+  options.limits.timeout_ms = kDeadlineMs;
+  options.degrade = DegradePolicy::kSample;
+  options.degrade_sampler.num_samples = size_t{1} << 23;
+  const Engine engine(options);
+  const auto start = std::chrono::steady_clock::now();
+  const auto answer =
+      engine.Answer(sum_all_, pm_, table_, MappingSemantics::kByTuple,
+                    AggregateSemantics::kDistribution);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(answer->approximate);
+  EXPECT_NE(answer->note.find("budget-truncated"), std::string::npos)
+      << answer->note;
+  EXPECT_GE(answer->stats.samples,
+            options.degrade_sampler.min_samples_on_budget);
+  EXPECT_GE(elapsed.count(), 200);
+  EXPECT_LT(elapsed.count(), kDeadlineMs + kSlackMs)
+      << elapsed.count() << " ms";
 }
 
 TEST_F(DegradeFixture, DegradeSampleAnswersExpectedValueApproximately) {

@@ -3,7 +3,7 @@
 //
 //   aqua_gen --workload ebay|realestate|employees|synthetic
 //            --out-data <csv> --out-mapping <pmapping.txt>
-//            [--rows N] [--mappings L] [--seed S]
+//            [--rows N] [--mappings L] [--seed S] [--help]
 //
 // For `synthetic`, --rows is the tuple count and --mappings the number of
 // candidate mappings; the other workloads use --rows as their natural size
@@ -31,14 +31,19 @@ struct GenOptions {
   size_t rows = 1000;
   size_t mappings = 2;
   uint64_t seed = 42;
+  bool help = false;
 };
 
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
+void PrintUsage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
                "usage: %s --workload ebay|realestate|employees|synthetic "
                "--out-data <csv> --out-mapping <txt> [--rows N] "
-               "[--mappings L] [--seed S]\n",
+               "[--mappings L] [--seed S] [--help]\n",
                argv0);
+}
+
+int Usage(const char* argv0) {
+  PrintUsage(stderr, argv0);
   return 2;
 }
 
@@ -52,7 +57,10 @@ Result<GenOptions> ParseArgs(int argc, char** argv) {
       }
       return std::string(argv[++i]);
     };
-    if (arg == "--workload") {
+    if (arg == "--help" || arg == "-h") {
+      o.help = true;
+      return o;
+    } else if (arg == "--workload") {
       AQUA_ASSIGN_OR_RETURN(o.workload, next());
     } else if (arg == "--out-data") {
       AQUA_ASSIGN_OR_RETURN(o.out_data, next());
@@ -145,6 +153,10 @@ int main(int argc, char** argv) {
   if (!options.ok()) {
     std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
     return Usage(argv[0]);
+  }
+  if (options->help) {
+    PrintUsage(stdout, argv[0]);
+    return 0;
   }
   const auto generated = Generate(*options);
   if (!generated.ok()) {
