@@ -79,8 +79,7 @@ void CheckBlocks(const TupleScan& scan, const std::vector<oracle::Row>& rows,
                  RowSpan span, const std::string& query) {
   size_t seen = 0;
   const Status s = scan.Run(span, nullptr, [&](const TupleBlock& block) {
-    TupleBlock::Summary e;
-    block.Extremes(&e);
+    const TupleBlock::Summary e = block.Extremes();
     double occ[kBlock];
     block.Occ(occ);
     size_t i = 0;

@@ -71,11 +71,9 @@ struct RangeCountFold {
   int64_t up = 0;
 
   [[gnu::noinline]] void Add(const TupleBlock& block) {
-    uint8_t any[BoundPredicate::kBlock];
-    uint8_t all[BoundPredicate::kBlock];
-    block.AnyAll(any, all);
-    low += CountOnes(all, block.size());
-    up += CountOnes(any, block.size());
+    const TupleBlock::Summary s = block.AnyAll();
+    low += CountOnes(s.all, block.size());
+    up += CountOnes(s.any, block.size());
   }
 
   /// The number of 1s among `n` 0/1 bytes, eight at a time: the bytes of

@@ -31,8 +31,7 @@ struct Extremes {
   /// they did row by row. Not inlined: see `TupleScan::Run`.
   [[gnu::noinline]] void Add(const TupleBlock& block) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    TupleBlock::Summary t;
-    block.Extremes(&t);
+    const TupleBlock::Summary t = block.Extremes();
     double any_min = any_min_of_vmin;
     double any_max = any_max_of_vmax;
     double mand_max = mand_max_of_vmin;

@@ -54,8 +54,7 @@ struct RangeSumFold {
   double up = 0.0;
 
   [[gnu::noinline]] void Add(const TupleBlock& block) {
-    TupleBlock::Summary e;
-    block.Extremes(&e);
+    const TupleBlock::Summary e = block.Extremes();
     double lo = low;
     double hi = up;
     // A tuple that can also be excluded, by picking a non-satisfying
@@ -72,9 +71,9 @@ struct RangeSumFold {
         const lanes::Vec2d vmin = lanes::Load2(e.vmin + i + 2 * k);
         const lanes::Vec2d vmax = lanes::Load2(e.vmax + i + 2 * k);
         const lanes::Vec2d l = lanes::Blend(
-            all[k], vmin, lanes::Blend(vmin < zero, vmin, zero));
+            all[k], vmin, lanes::Blend(lanes::Less(vmin, zero), vmin, zero));
         const lanes::Vec2d h = lanes::Blend(
-            all[k], vmax, lanes::Blend(zero < vmax, vmax, zero));
+            all[k], vmax, lanes::Blend(lanes::Less(zero, vmax), vmax, zero));
         lo += l[0];
         hi += h[0];
         lo += l[1];
@@ -115,8 +114,7 @@ struct RangeAvgPaperFold {
   int64_t count = 0;
 
   [[gnu::noinline]] void Add(const TupleBlock& block) {
-    TupleBlock::Summary e;
-    block.Extremes(&e);
+    const TupleBlock::Summary e = block.Extremes();
     double lo = low_sum;
     double hi = up_sum;
     int64_t n = count;
@@ -141,8 +139,7 @@ struct RangeAvgExactFold {
   std::vector<double> opt_max;
 
   [[gnu::noinline]] void Add(const TupleBlock& block) {
-    TupleBlock::Summary e;
-    block.Extremes(&e);
+    const TupleBlock::Summary e = block.Extremes();
     double min_sum = mand_min_sum;
     double max_sum = mand_max_sum;
     int64_t cnt = mand_cnt;

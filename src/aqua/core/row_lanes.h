@@ -63,6 +63,10 @@ inline void Store2(double* out, Vec2d x) { std::memcpy(out, &x, sizeof x); }
 
 inline Vec2d Splat(double x) { return Vec2d{x, x}; }
 
+/// The lane mask of `a < b`. (A vector compare's element type is the
+/// compiler's choice of 64-bit integer; this names it.)
+inline Vec2l Less(Vec2d a, Vec2d b) { return reinterpret_cast<Vec2l>(a < b); }
+
 /// `mask ? a : b`, lane by lane, on the bits.
 inline Vec2d Blend(Vec2l mask, Vec2d a, Vec2d b) {
   return reinterpret_cast<Vec2d>((reinterpret_cast<Vec2l>(a) & mask) |

@@ -53,6 +53,7 @@ using lanes::Blend;
 using lanes::kByteOnes;
 using lanes::kGroup;
 using lanes::kPairs;
+using lanes::Less;
 using lanes::Load2;
 using lanes::LoadWord;
 using lanes::SpreadMasks;
@@ -112,13 +113,17 @@ TupleScan::BlockScratch::BlockScratch(const TupleScan& scan, size_t block,
     null_blocks += b.attribute != nullptr && b.attribute->has_nulls();
     value_blocks += GathersValues(b.attribute, contiguous);
   }
-  bytes.resize((scan.distinct_.size() + null_blocks) * block + m);
-  values.resize(value_blocks * block + m);
+  bytes.resize((scan.distinct_.size() + null_blocks + 2) * block + m);
+  values.resize((value_blocks + 2) * block + m);
   view.m_ = m;
   view.lanes_ = lanes.data();
   view.prob_ = scan.prob_.data();
   view.row_sat_ = bytes.data() + bytes.size() - m;
   view.row_value_ = values.data() + values.size() - m;
+  view.any_ = view.row_sat_ - 2 * block;
+  view.all_ = view.row_sat_ - block;
+  view.vmin_ = view.row_value_ - 2 * block;
+  view.vmax_ = view.row_value_ - block;
 }
 
 const TupleBlock& TupleScan::FillBlock(const uint32_t* ids, size_t first,
@@ -163,7 +168,9 @@ const TupleBlock& TupleScan::FillBlock(const uint32_t* ids, size_t first,
   return view;
 }
 
-void TupleBlock::AnyAll(uint8_t* any, uint8_t* all) const {
+TupleBlock::Summary TupleBlock::AnyAll() const {
+  uint8_t* const any = any_;
+  uint8_t* const all = all_;
   // OR and AND act on each byte of a word alone.
   const uint64_t all_init = m_ > 0 ? kByteOnes : 0;
   size_t i = 0;
@@ -188,13 +195,14 @@ void TupleBlock::AnyAll(uint8_t* any, uint8_t* all) const {
     any[i] = a;
     all[i] = l;
   }
+  return Summary{any, all, vmin_, vmax_};
 }
 
-void TupleBlock::Extremes(Summary* out) const {
+TupleBlock::Summary TupleBlock::Extremes() const {
   // A row's first satisfying value starts both extremes; later ones
   // replace them as std::min(vmin, x) / std::max(vmax, x) would, NaNs
   // included: vmin takes x where x < vmin, vmax where vmax < x.
-  AnyAll(out->any, out->all);
+  const Summary out = AnyAll();
   size_t i = 0;
   for (; i + kGroup <= n_ && m_ > 0; i += kGroup) {
     Vec2l s[kPairs] = {};
@@ -212,14 +220,14 @@ void TupleBlock::Extremes(Summary* out) const {
       const double* const v = lanes_[j].value + i;
       lanes::EachPair([&](size_t k) {
         const Vec2d x = Load2(v + 2 * k);
-        lo[k] = Blend(s[k] & (unseen[k] | (x < lo[k])), x, lo[k]);
-        hi[k] = Blend(s[k] & (unseen[k] | (hi[k] < x)), x, hi[k]);
+        lo[k] = Blend(s[k] & (unseen[k] | Less(x, lo[k])), x, lo[k]);
+        hi[k] = Blend(s[k] & (unseen[k] | Less(hi[k], x)), x, hi[k]);
         unseen[k] &= ~s[k];
       });
     }
     lanes::EachPair([&](size_t k) {
-      Store2(out->vmin + i + 2 * k, lo[k]);
-      Store2(out->vmax + i + 2 * k, hi[k]);
+      Store2(vmin_ + i + 2 * k, lo[k]);
+      Store2(vmax_ + i + 2 * k, hi[k]);
     });
   }
   for (; i < n_; ++i) {
@@ -234,9 +242,10 @@ void TupleBlock::Extremes(Summary* out) const {
       hi = Select(s & (first | static_cast<uint8_t>(hi < x)), x, hi);
       seen |= s;
     }
-    out->vmin[i] = lo;
-    out->vmax[i] = hi;
+    vmin_[i] = lo;
+    vmax_[i] = hi;
   }
+  return out;
 }
 
 void TupleBlock::Occ(double* occ) const {

@@ -84,20 +84,21 @@ class TupleBlock {
     return out;
   }
 
-  /// Per row, 0/1: satisfies under some mapping, and under every mapping.
-  void AnyAll(uint8_t* any, uint8_t* all) const;
-
-  /// One block's per-row summaries, as `Extremes` fills them.
+  /// Per-row summaries of the block, computed on request into the scan's
+  /// scratch: valid until the fold returns.
   struct Summary {
-    uint8_t any[BoundPredicate::kBlock];
-    uint8_t all[BoundPredicate::kBlock];
-    double vmin[BoundPredicate::kBlock];
-    double vmax[BoundPredicate::kBlock];
+    const uint8_t* any;  // 0/1: satisfies under some mapping
+    const uint8_t* all;  // 0/1: satisfies under every mapping
+    // The smallest / largest satisfying value, folded with std::min /
+    // std::max in mapping order from the first; 0 where none satisfies.
+    // Filled by `Extremes` only.
+    const double* vmin;
+    const double* vmax;
   };
-  /// `AnyAll`, plus per row the smallest and largest satisfying value,
-  /// folded with std::min/std::max in mapping order from the first; 0
-  /// where none satisfies.
-  void Extremes(Summary* out) const;
+  /// `any` and `all`.
+  Summary AnyAll() const;
+  /// `any`, `all`, `vmin` and `vmax`.
+  Summary Extremes() const;
   /// Per row, Pr(participates): the satisfying probabilities summed in
   /// mapping order.
   void Occ(double* occ) const;
@@ -152,6 +153,11 @@ class TupleBlock {
   // m entries each: the row view's sat/value, rewritten per row.
   uint8_t* row_sat_ = nullptr;
   double* row_value_ = nullptr;
+  // A block's worth each: where `AnyAll` and `Extremes` write.
+  uint8_t* any_ = nullptr;
+  uint8_t* all_ = nullptr;
+  double* vmin_ = nullptr;
+  double* vmax_ = nullptr;
 };
 
 /// Adapts a per-row fold to `TupleScan::Run`:
@@ -228,11 +234,13 @@ class TupleScan {
     BlockScratch(const TupleScan& scan, size_t block, bool contiguous);
 
     size_t block;
-    // The distinct predicates' match blocks, then a sat block for each
-    // mapping whose attribute has NULLs, then the row view's m bytes.
+    // The distinct predicates' match blocks, a sat block for each mapping
+    // whose attribute has NULLs, the any and all blocks, then the row
+    // view's m bytes.
     std::vector<uint8_t> bytes;
     // A value block for each mapping whose values are gathered (an id
-    // list, or an int64/date attribute), then the row view's m values.
+    // list, or an int64/date attribute), the vmin and vmax blocks, then
+    // the row view's m values.
     std::vector<double> values;
     std::vector<TupleBlock::Lane> lanes;
     BoundPredicate::Scratch nodes;

@@ -155,11 +155,10 @@ void ExpectBlockMatchesOracle(const TupleBlock& block,
                               const std::vector<oracle::Row>& rows,
                               size_t first) {
   ASSERT_LE(first + block.size(), rows.size());
-  uint8_t any[BoundPredicate::kBlock];
-  uint8_t all[BoundPredicate::kBlock];
-  block.AnyAll(any, all);
-  TupleBlock::Summary e;
-  block.Extremes(&e);
+  const TupleBlock::Summary a = block.AnyAll();
+  const std::vector<uint8_t> any(a.any, a.any + block.size());
+  const std::vector<uint8_t> all(a.all, a.all + block.size());
+  const TupleBlock::Summary e = block.Extremes();
   double occ[BoundPredicate::kBlock];
   block.Occ(occ);
   for (size_t i = 0; i < block.size(); ++i) {
