@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "aqua/core/by_table.h"
 #include "aqua/core/by_tuple_count.h"
 #include "aqua/core/by_tuple_minmax.h"
 #include "aqua/core/by_tuple_sum.h"
@@ -144,8 +145,8 @@ void BM_RowMaterialisingSum(benchmark::State& state) {
 
 BENCHMARK(BM_RowMaterialisingSum);
 
-// The by-tuple scans on two shapes, each reported in ns per
-// (row, mapping), the inverse of items_per_second: the synthetic workload
+// The scans on two shapes, each reported in ns per (row, mapping), the
+// inverse of items_per_second: the synthetic workload
 // (100k rows, m = 8, every mapping binds the WHERE clause to its own
 // column) and loadbench `scan`'s (the eBay simulator at 20,000 auctions,
 // about 180k rows, m = 2, WHERE on the uncertain `price`).
@@ -221,6 +222,19 @@ void BM_ByTupleExpectedSum(benchmark::State& state,
 }
 BENCHMARK_CAPTURE(BM_ByTupleExpectedSum, synthetic_m8, SyntheticM8);
 BENCHMARK_CAPTURE(BM_ByTupleExpectedSum, ebay_m2, EbayM2);
+
+// By-table (paper Figure 1): the query's SUM under every mapping, then the
+// range over them.
+void BM_ByTableAnswer(benchmark::State& state, const ScanShape& (*shape)()) {
+  const ScanShape& s = shape();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ByTable::Answer(s.sum, *s.pmapping, *s.table,
+                                             AggregateSemantics::kRange));
+  }
+  state.SetItemsProcessed(state.iterations() * s.cells());
+}
+BENCHMARK_CAPTURE(BM_ByTableAnswer, synthetic_m8, SyntheticM8);
+BENCHMARK_CAPTURE(BM_ByTableAnswer, ebay_m2, EbayM2);
 
 void BM_ByTuplePDCountDP(benchmark::State& state) {
   // Quadratic DP on n tuples (subset of the workload).

@@ -193,20 +193,24 @@ Result<NaiveAnswer> DistExtremum(const AggregateQuery& query,
   };
   std::vector<Event> events;
   std::vector<double> excluded;  // per-tuple Pr(contributes nothing)
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, EachRow([&](const TupleView& t) {
-    // A tuple that never contributes drops out of the product entirely.
-    if (!t.any()) return;
-    const auto i = static_cast<uint32_t>(excluded.size());
-    double excl = 0.0;
-    for (size_t j = 0; j < t.m; ++j) {
-      if (t.sat[j]) {
-        events.push_back(Event{t.value[j], i, t.prob[j]});
-      } else {
-        excl += t.prob[j];
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    const uint8_t* const any = block.AnyAll().any;
+    const double* const prob = block.prob();
+    for (size_t i = 0; i < block.size(); ++i) {
+      // A tuple that never contributes drops out of the product entirely.
+      if (any[i] == 0) continue;
+      const auto tuple = static_cast<uint32_t>(excluded.size());
+      double excl = 0.0;
+      for (size_t j = 0; j < block.m(); ++j) {
+        if (block.sat(j)[i] != 0) {
+          events.push_back(Event{block.value(j)[i], tuple, prob[j]});
+        } else {
+          excl += prob[j];
+        }
       }
+      excluded.push_back(excl);
     }
-    excluded.push_back(excl);
-  })));
+  }));
 
   NaiveAnswer answer;
   if (events.empty()) {

@@ -215,34 +215,35 @@ Result<Distribution> ByTupleSum::DistQuantized(
   int64_t total_min = 0;
   int64_t total_max = 0;
   Status scan_status = Status::OK();
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, EachRow([&](const TupleView& t) {
-    if (!scan_status.ok()) return;
-    std::vector<Atom> atoms;
-    for (size_t j = 0; j < t.m; ++j) {
-      int64_t bucket = 0;
-      if (t.sat[j]) {
-        Result<int64_t> q = Quantise(t.value[j], options.resolution);
-        if (!q.ok()) {
-          scan_status = q.status();
-          return;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    for (size_t i = 0; i < block.size() && scan_status.ok(); ++i) {
+      std::vector<Atom> atoms;
+      for (size_t j = 0; j < block.m(); ++j) {
+        int64_t bucket = 0;
+        if (block.sat(j)[i] != 0) {
+          Result<int64_t> q = Quantise(block.value(j)[i], options.resolution);
+          if (!q.ok()) {
+            scan_status = q.status();
+            return;
+          }
+          bucket = *q;
         }
-        bucket = *q;
+        AddAtom(&atoms, bucket, block.prob()[j]);
       }
-      AddAtom(&atoms, bucket, t.prob[j]);
+      // Tuples whose every candidate contributes bucket 0 never move the
+      // sum; skip them entirely.
+      if (atoms.size() == 1 && atoms[0].bucket == 0) continue;
+      int64_t mn = atoms[0].bucket;
+      int64_t mx = atoms[0].bucket;
+      for (const Atom& a : atoms) {
+        mn = std::min(mn, a.bucket);
+        mx = std::max(mx, a.bucket);
+      }
+      total_min += mn;
+      total_max += mx;
+      tuples.push_back(std::move(atoms));
     }
-    // Tuples whose every candidate contributes bucket 0 never move the
-    // sum; skip them entirely.
-    if (atoms.size() == 1 && atoms[0].bucket == 0) return;
-    int64_t mn = atoms[0].bucket;
-    int64_t mx = atoms[0].bucket;
-    for (const Atom& a : atoms) {
-      mn = std::min(mn, a.bucket);
-      mx = std::max(mx, a.bucket);
-    }
-    total_min += mn;
-    total_max += mx;
-    tuples.push_back(std::move(atoms));
-  })));
+  }));
   AQUA_RETURN_NOT_OK(scan_status);
 
   const uint64_t width = static_cast<uint64_t>(total_max - total_min) + 1;
@@ -321,32 +322,33 @@ Result<NaiveAnswer> ByTupleSum::DistAvgQuantized(
   int64_t sum_min = 0;  // over included choices only (exclusion adds 0)
   int64_t sum_max = 0;
   Status scan_status = Status::OK();
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, EachRow([&](const TupleView& t) {
-    if (!scan_status.ok()) return;
-    TupleAtoms ta;
-    for (size_t j = 0; j < t.m; ++j) {
-      if (!t.sat[j]) {
-        ta.excluded += t.prob[j];
-        continue;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    for (size_t i = 0; i < block.size() && scan_status.ok(); ++i) {
+      TupleAtoms ta;
+      for (size_t j = 0; j < block.m(); ++j) {
+        if (block.sat(j)[i] == 0) {
+          ta.excluded += block.prob()[j];
+          continue;
+        }
+        Result<int64_t> q = Quantise(block.value(j)[i], options.resolution);
+        if (!q.ok()) {
+          scan_status = q.status();
+          return;
+        }
+        AddAtom(&ta.atoms, *q, block.prob()[j]);
       }
-      Result<int64_t> q = Quantise(t.value[j], options.resolution);
-      if (!q.ok()) {
-        scan_status = q.status();
-        return;
+      if (ta.atoms.empty()) continue;  // never qualifies: irrelevant to AVG
+      int64_t mn = ta.atoms[0].bucket;
+      int64_t mx = ta.atoms[0].bucket;
+      for (const Atom& a : ta.atoms) {
+        mn = std::min(mn, a.bucket);
+        mx = std::max(mx, a.bucket);
       }
-      AddAtom(&ta.atoms, *q, t.prob[j]);
+      sum_min += std::min<int64_t>(0, mn);
+      sum_max += std::max<int64_t>(0, mx);
+      tuples.push_back(std::move(ta));
     }
-    if (ta.atoms.empty()) return;  // never qualifies: irrelevant to AVG
-    int64_t mn = ta.atoms[0].bucket;
-    int64_t mx = ta.atoms[0].bucket;
-    for (const Atom& a : ta.atoms) {
-      mn = std::min(mn, a.bucket);
-      mx = std::max(mx, a.bucket);
-    }
-    sum_min += std::min<int64_t>(0, mn);
-    sum_max += std::max<int64_t>(0, mx);
-    tuples.push_back(std::move(ta));
-  })));
+  }));
   AQUA_RETURN_NOT_OK(scan_status);
 
   NaiveAnswer answer;

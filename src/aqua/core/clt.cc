@@ -1,6 +1,7 @@
 #include "aqua/core/clt.h"
 
 #include <cmath>
+#include <vector>
 
 #include "aqua/common/check.h"
 #include "aqua/core/tuple_scan.h"
@@ -83,21 +84,25 @@ Result<NormalApproximation> ByTupleCLT::ApproxSum(
       TupleScan scan,
       TupleScan::Bind(query, AggregateFunction::kSum, pmapping, source));
   NormalApproximation approx;
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, EachRow([&](const TupleView& t) {
-    // Tuple i contributes v_ij with probability Pr(m_j) when it satisfies
-    // under m_j, and 0 otherwise.
-    double ex = 0.0;   // E[X_i]
-    double ex2 = 0.0;  // E[X_i^2]
-    // value[j] is 0 where mapping j does not satisfy: those terms add
-    // +0.0, which leaves the sums' bits unchanged.
-    for (size_t j = 0; j < t.m; ++j) {
-      const double v = t.value[j];
-      ex += t.prob[j] * v;
-      ex2 += t.prob[j] * v * v;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    const double* const prob = block.prob();
+    for (size_t i = 0; i < block.size(); ++i) {
+      // Tuple i contributes v_ij with probability Pr(m_j) when it
+      // satisfies under m_j, and 0 otherwise.
+      double ex = 0.0;   // E[X_i]
+      double ex2 = 0.0;  // E[X_i^2]
+      // v is 0 where mapping j does not satisfy: those terms add +0.0,
+      // which leaves the sums' bits unchanged.
+      for (size_t j = 0; j < block.m(); ++j) {
+        const double v =
+            TupleBlock::Select(block.sat(j)[i], block.value(j)[i], 0.0);
+        ex += prob[j] * v;
+        ex2 += prob[j] * v * v;
+      }
+      approx.mean += ex;
+      approx.variance += ex2 - ex * ex;
     }
-    approx.mean += ex;
-    approx.variance += ex2 - ex * ex;
-  })));
+  }));
   if (approx.variance < 0.0) approx.variance = 0.0;  // float guard
   return approx;
 }
@@ -116,15 +121,24 @@ Result<double> ByTupleCLT::ApproxAvgExpectation(
   double ec = 0.0;   // E[C]
   double var_c = 0.0;
   double cov_sc = 0.0;
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, EachRow([&](const TupleView& t) {
-    double e_si = 0.0;
-    for (size_t j = 0; j < t.m; ++j) e_si += t.prob[j] * t.value[j];
-    const double occ = t.occ();
-    es += e_si;
-    ec += occ;
-    var_c += occ * (1.0 - occ);
-    cov_sc += e_si - e_si * occ;
-  })));
+  std::vector<double> occs;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    occs.resize(block.size());
+    block.Occ(occs.data());
+    const double* const prob = block.prob();
+    for (size_t i = 0; i < block.size(); ++i) {
+      double e_si = 0.0;
+      for (size_t j = 0; j < block.m(); ++j) {
+        e_si += prob[j] *
+                TupleBlock::Select(block.sat(j)[i], block.value(j)[i], 0.0);
+      }
+      const double occ = occs[i];
+      es += e_si;
+      ec += occ;
+      var_c += occ * (1.0 - occ);
+      cov_sc += e_si - e_si * occ;
+    }
+  }));
   if (ec < min_expected_count) {
     return Status::InvalidArgument(
         "expected count " + std::to_string(ec) +
@@ -142,11 +156,15 @@ Result<NormalApproximation> ByTupleCLT::ApproxCount(
       TupleScan scan,
       TupleScan::Bind(query, AggregateFunction::kCount, pmapping, source));
   NormalApproximation approx;
-  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, EachRow([&](const TupleView& t) {
-    const double occ = t.occ();
-    approx.mean += occ;
-    approx.variance += occ * (1.0 - occ);
-  })));
+  std::vector<double> occs;
+  AQUA_RETURN_NOT_OK(scan.Run(rows, ctx, [&](const TupleBlock& block) {
+    occs.resize(block.size());
+    block.Occ(occs.data());
+    for (const double occ : occs) {
+      approx.mean += occ;
+      approx.variance += occ * (1.0 - occ);
+    }
+  }));
   if (approx.variance < 0.0) approx.variance = 0.0;
   return approx;
 }

@@ -29,6 +29,12 @@ Result<TupleScan> TupleScan::Bind(const AggregateQuery& query,
                                   const PMapping& pmapping,
                                   const Table& source) {
   AQUA_RETURN_NOT_OK(CheckShape(query, func));
+  return Bind(query, pmapping, source);
+}
+
+Result<TupleScan> TupleScan::Bind(const AggregateQuery& query,
+                                  const PMapping& pmapping,
+                                  const Table& source) {
   TupleScan scan;
   scan.source_ = &source;
   AQUA_ASSIGN_OR_RETURN(scan.bindings_,
@@ -113,17 +119,15 @@ TupleScan::BlockScratch::BlockScratch(const TupleScan& scan, size_t block,
     null_blocks += b.attribute != nullptr && b.attribute->has_nulls();
     value_blocks += GathersValues(b.attribute, contiguous);
   }
-  bytes.resize((scan.distinct_.size() + null_blocks + 2) * block + m);
-  values.resize((value_blocks + 2) * block + m);
+  bytes.resize((scan.distinct_.size() + null_blocks + 2) * block);
+  values.resize((value_blocks + 2) * block);
   view.m_ = m;
   view.lanes_ = lanes.data();
   view.prob_ = scan.prob_.data();
-  view.row_sat_ = bytes.data() + bytes.size() - m;
-  view.row_value_ = values.data() + values.size() - m;
-  view.any_ = view.row_sat_ - 2 * block;
-  view.all_ = view.row_sat_ - block;
-  view.vmin_ = view.row_value_ - 2 * block;
-  view.vmax_ = view.row_value_ - block;
+  view.any_ = bytes.data() + bytes.size() - 2 * block;
+  view.all_ = view.any_ + block;
+  view.vmin_ = values.data() + values.size() - 2 * block;
+  view.vmax_ = view.vmin_ + block;
 }
 
 const TupleBlock& TupleScan::FillBlock(const uint32_t* ids, size_t first,
@@ -285,10 +289,14 @@ Result<TupleMappingGrid> BuildTupleMappingGrid(const AggregateQuery& query,
   grid.value.reserve(grid.n * grid.m);
   AQUA_RETURN_NOT_OK(
       scan.Run(rows, /*ctx=*/nullptr, [&](const TupleBlock& block) {
-        block.ForEachRow([&](const TupleView& t) {
-          grid.satisfies.insert(grid.satisfies.end(), t.sat, t.sat + t.m);
-          grid.value.insert(grid.value.end(), t.value, t.value + t.m);
-        });
+        for (size_t i = 0; i < block.size(); ++i) {
+          for (size_t j = 0; j < block.m(); ++j) {
+            const uint8_t sat = block.sat(j)[i];
+            grid.satisfies.push_back(sat);
+            grid.value.push_back(
+                TupleBlock::Select(sat, block.value(j)[i], 0.0));
+          }
+        }
       }));
   return grid;
 }

@@ -12,42 +12,6 @@
 
 namespace aqua {
 
-/// One tuple as every candidate mapping sees it: `sat[j]` says whether the
-/// tuple participates under mapping j (the reformulated WHERE condition
-/// holds and the aggregated attribute is non-NULL), `value[j]` is its
-/// attribute value there (0 when it does not participate, or for
-/// COUNT(*)), and `prob[j]` is the mapping's probability. Built from a
-/// `TupleBlock` by `TupleBlock::ForEachRow`, for the folds that work a
-/// tuple at a time.
-class TupleView {
- public:
-  size_t row = 0;  // row index in the source table
-  size_t m = 0;    // candidate mappings
-  const uint8_t* sat = nullptr;
-  const double* value = nullptr;
-  const double* prob = nullptr;
-
-  /// Satisfies under at least one mapping.
-  bool any() const { return satisfied_ > 0; }
-  /// Satisfies under every mapping (a mandatory tuple).
-  bool all() const { return satisfied_ > 0 && satisfied_ == m; }
-  /// Pr(the tuple participates): the satisfying probabilities, summed in
-  /// mapping order.
-  double occ() const { return occ_; }
-  /// Smallest / largest satisfying value (std::min/std::max folded in
-  /// mapping order from the first); 0 when none satisfies.
-  double vmin() const { return vmin_; }
-  double vmax() const { return vmax_; }
-
- private:
-  friend class TupleBlock;  // fills these in the pass that fills sat/value
-
-  size_t satisfied_ = 0;
-  double occ_ = 0.0;
-  double vmin_ = 0.0;
-  double vmax_ = 0.0;
-};
-
 /// Up to `BoundPredicate::kBlock` consecutive rows of a span as every
 /// candidate mapping sees them, one column per mapping. `sat(j)[i]` is 1
 /// iff row i participates under mapping j and 0 otherwise; `value(j)[i]`
@@ -56,9 +20,10 @@ class TupleView {
 /// holds whatever the column stores; COUNT(*) reads zeros). A fold masks
 /// it with `Select`, so a non-satisfying pair adds exactly +0.0.
 ///
-/// The per-row summaries of `TupleView` are not materialised: a kernel
-/// asks for the ones it reads (`AnyAll`, `Extremes`, `Occ`), each a loop
-/// over the mappings' columns, or walks `ForEachRow` for a row view.
+/// Per-row summaries are not materialised: a kernel asks for the ones it
+/// reads (`AnyAll`, `Extremes`, `Occ`), each a loop over the mappings'
+/// columns. A fold that works a tuple at a time reads the columns itself,
+/// rows outer and mappings inner.
 class TupleBlock {
  public:
   size_t size() const { return n_; }
@@ -103,39 +68,6 @@ class TupleBlock {
   /// mapping order.
   void Occ(double* occ) const;
 
-  /// Calls `fn(const TupleView&)` for each row of the block, in order.
-  template <typename Fn>
-  void ForEachRow(Fn&& fn) const {
-    TupleView view;
-    view.m = m_;
-    view.sat = row_sat_;
-    view.value = row_value_;
-    view.prob = prob_;
-    for (size_t i = 0; i < n_; ++i) {
-      size_t satisfied = 0;
-      double occ = 0.0;
-      double vmin = 0.0;
-      double vmax = 0.0;
-      for (size_t j = 0; j < m_; ++j) {
-        const uint8_t s = lanes_[j].sat[i];
-        const double v = Select(s, lanes_[j].value[i], 0.0);
-        row_sat_[j] = s;
-        row_value_[j] = v;
-        if (s == 0) continue;
-        occ += prob_[j];
-        vmin = satisfied == 0 ? v : std::min(vmin, v);
-        vmax = satisfied == 0 ? v : std::max(vmax, v);
-        ++satisfied;
-      }
-      view.row = row(i);
-      view.satisfied_ = satisfied;
-      view.occ_ = occ;
-      view.vmin_ = vmin;
-      view.vmax_ = vmax;
-      fn(static_cast<const TupleView&>(view));
-    }
-  }
-
  private:
   friend class TupleScan;  // points the lanes at each block's columns
 
@@ -150,9 +82,6 @@ class TupleBlock {
   size_t m_ = 0;
   const Lane* lanes_ = nullptr;
   const double* prob_ = nullptr;
-  // m entries each: the row view's sat/value, rewritten per row.
-  uint8_t* row_sat_ = nullptr;
-  double* row_value_ = nullptr;
   // A block's worth each: where `AnyAll` and `Extremes` write.
   uint8_t* any_ = nullptr;
   uint8_t* all_ = nullptr;
@@ -160,19 +89,14 @@ class TupleBlock {
   double* vmax_ = nullptr;
 };
 
-/// Adapts a per-row fold to `TupleScan::Run`:
-/// `scan.Run(rows, ctx, EachRow([&](const TupleView& t) { ... }))`.
-template <typename Fn>
-auto EachRow(Fn&& fn) {
-  return [&fn](const TupleBlock& block) { block.ForEachRow(fn); };
-}
-
-/// The by-tuple scan: the one place a (row, mapping) pair is evaluated and
-/// charged. Every O(n*m) kernel of the paper's Figures 2-5 (and the CLT
-/// moments, the COUNT occurrence pass, the MIN/MAX CDF events and the
-/// naive/sampler grid) is a fold over `Run`. Blocks arrive in `RowSpan`
-/// order; a fold that accumulates rows in block order and, within a row,
-/// mappings in binding order reproduces the hand-written loop bit for bit.
+/// The scan of every (row, mapping) pair: the one place an ungrouped query
+/// evaluates and charges them. Every O(n*m) kernel of the paper's Figures
+/// 2-5 (and the CLT moments, the COUNT occurrence pass, the MIN/MAX CDF
+/// events and the naive/sampler grid) is a fold over `Run`, and so is
+/// by-table's Figure 1, one aggregate per mapping. Blocks arrive in
+/// `RowSpan` order; a fold that accumulates rows in block order and, within
+/// a row, mappings in binding order reproduces the hand-written loop bit
+/// for bit.
 class TupleScan {
  public:
   /// Checks that `query` is a `func` query (kInvalidArgument otherwise) and
@@ -181,8 +105,11 @@ class TupleScan {
   static Status CheckShape(const AggregateQuery& query,
                            AggregateFunction func);
 
-  /// `CheckShape`, then one binding per candidate of `pmapping`. The scan
-  /// borrows `source`, which must outlive it.
+  /// One binding per candidate of `pmapping`, for any aggregate, DISTINCT
+  /// or not. The scan borrows `source`, which must outlive it.
+  static Result<TupleScan> Bind(const AggregateQuery& query,
+                                const PMapping& pmapping, const Table& source);
+  /// `CheckShape`, then `Bind`: the by-tuple kernels' entry.
   static Result<TupleScan> Bind(const AggregateQuery& query,
                                 AggregateFunction func,
                                 const PMapping& pmapping, const Table& source);
@@ -235,12 +162,10 @@ class TupleScan {
 
     size_t block;
     // The distinct predicates' match blocks, a sat block for each mapping
-    // whose attribute has NULLs, the any and all blocks, then the row
-    // view's m bytes.
+    // whose attribute has NULLs, then the any and all blocks.
     std::vector<uint8_t> bytes;
     // A value block for each mapping whose values are gathered (an id
-    // list, or an int64/date attribute), the vmin and vmax blocks, then
-    // the row view's m values.
+    // list, or an int64/date attribute), then the vmin and vmax blocks.
     std::vector<double> values;
     std::vector<TupleBlock::Lane> lanes;
     BoundPredicate::Scratch nodes;

@@ -166,9 +166,11 @@ Distribution FullBandDist(const AggregateQuery& query,
   const TupleScan scan =
       *TupleScan::Bind(query, AggregateFunction::kCount, pmapping, source);
   std::vector<double> occs;
-  EXPECT_TRUE(scan.Run({}, nullptr, EachRow([&](const TupleView& t) {
-                    occs.push_back(t.occ());
-                  })).ok());
+  EXPECT_TRUE(scan.Run({}, nullptr, [&](const TupleBlock& block) {
+                    const size_t done = occs.size();
+                    occs.resize(done + block.size());
+                    block.Occ(occs.data() + done);
+                  }).ok());
   const size_t n = occs.size();
   std::vector<double> pd(n + 1, 0.0);
   pd[0] = 1.0;

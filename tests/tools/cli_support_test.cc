@@ -5,6 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "aqua/core/engine.h"
+#include "aqua/workload/ebay.h"
+
 namespace aqua::cli {
 namespace {
 
@@ -209,6 +212,50 @@ TEST(AnswerToJsonTest, DistributionAnswerShape) {
   EXPECT_NE(json.find("\"distribution\":[[1,0.25],[2,0.75]]"),
             std::string::npos)
       << json;
+}
+
+size_t Count(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// By-table groups share one query's stats, printed once ahead of the
+// groups; by-tuple groups each keep their own.
+TEST(GroupedToJsonTest, ByTableStatsLeadOnceByTupleStatsStayPerGroup) {
+  const Table source = *PaperInstanceDS2();
+  const PMapping pmapping = *MakeEbayPMapping();
+  const Engine engine;
+  const std::string sql = "SELECT MAX(price) FROM T2 GROUP BY auctionId";
+
+  const auto by_table =
+      engine.AnswerGroupedSql(sql, pmapping, source, MappingSemantics::kByTable,
+                              AggregateSemantics::kRange);
+  ASSERT_TRUE(by_table.ok()) << by_table.status().ToString();
+  ASSERT_EQ(by_table->size(), 2u);
+  const std::string shared = GroupedToJson(*by_table);
+  EXPECT_EQ(shared.rfind("\"stats\":{\"algorithm\":", 0), 0u) << shared;
+  EXPECT_EQ(Count(shared, "\"stats\":"), 1u) << shared;
+  EXPECT_NE(shared.find("\"steps\":" +
+                        std::to_string(source.num_rows() * pmapping.size())),
+            std::string::npos)
+      << shared;
+  EXPECT_EQ(Count(shared, "\"group\":"), 2u) << shared;
+  EXPECT_NE(shared.find("\"answer\":{\"semantics\":\"range\","),
+            std::string::npos)
+      << shared;
+
+  const auto by_tuple =
+      engine.AnswerGroupedSql(sql, pmapping, source, MappingSemantics::kByTuple,
+                              AggregateSemantics::kRange);
+  ASSERT_TRUE(by_tuple.ok()) << by_tuple.status().ToString();
+  const std::string own = GroupedToJson(*by_tuple);
+  EXPECT_EQ(own.rfind("\"groups\":[", 0), 0u) << own;
+  EXPECT_EQ(Count(own, "\"stats\":"), by_tuple->size()) << own;
+  EXPECT_EQ(GroupedToJson({}), "\"groups\":[]");
 }
 
 TEST(ParseCliArgsTest, HelpWaivesRequiredFlags) {

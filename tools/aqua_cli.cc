@@ -208,7 +208,7 @@ int RunCli(const CliOptions& options) {
       options.aggregate_semantics);
   if (grouped.ok()) {
     if (options.stats_json) {
-      std::printf("{\"query\":\"%s\",\"groups\":%s}\n",
+      std::printf("{\"query\":\"%s\",%s}\n",
                   obs::JsonEscape(options.query).c_str(),
                   cli::GroupedToJson(*grouped).c_str());
     } else {

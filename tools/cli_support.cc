@@ -222,7 +222,10 @@ Result<Schema> ParseSchemaSpec(const std::string& spec) {
   return Schema::Make(std::move(attrs));
 }
 
-std::string AnswerToJson(const AggregateAnswer& answer) {
+namespace {
+
+/// `AnswerToJson` without its stats member and closing brace.
+std::string AnswerMembersJson(const AggregateAnswer& answer) {
   std::string out = "{";
   out += obs::JsonString("semantics",
                          AggregateSemanticsToString(answer.semantics));
@@ -249,17 +252,32 @@ std::string AnswerToJson(const AggregateAnswer& answer) {
   out += std::string(",\"approximate\":") +
          (answer.approximate ? "true" : "false");
   out += ',' + obs::JsonString("note", answer.note);
-  out += ",\"stats\":" + answer.stats.ToJson();
-  out += '}';
   return out;
 }
 
+}  // namespace
+
+std::string AnswerToJson(const AggregateAnswer& answer) {
+  return AnswerMembersJson(answer) + ",\"stats\":" + answer.stats.ToJson() +
+         '}';
+}
+
 std::string GroupedToJson(const std::vector<GroupedAnswer>& groups) {
-  std::string out = "[";
+  // By-table groups come from one pass over the table and carry its stats,
+  // the same in every group: print them once.
+  const bool shared = !groups.empty() &&
+                      groups[0].answer.stats.mapping_semantics ==
+                          MappingSemanticsToString(MappingSemantics::kByTable);
+  std::string out;
+  if (shared) out += "\"stats\":" + groups[0].answer.stats.ToJson() + ',';
+  out += "\"groups\":[";
   for (size_t i = 0; i < groups.size(); ++i) {
     if (i > 0) out += ',';
+    const AggregateAnswer& answer = groups[i].answer;
     out += "{" + obs::JsonString("group", groups[i].group.ToString()) +
-           ",\"answer\":" + AnswerToJson(groups[i].answer) + '}';
+           ",\"answer\":" +
+           (shared ? AnswerMembersJson(answer) + '}' : AnswerToJson(answer)) +
+           '}';
   }
   out += ']';
   return out;

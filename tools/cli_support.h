@@ -64,8 +64,10 @@ Result<Schema> ParseSchemaSpec(const std::string& spec);
 /// approximate/note, and the embedded QueryStats object.
 std::string AnswerToJson(const AggregateAnswer& answer);
 
-/// `{"groups":[{"group":...,"answer":{...}}...]}` element list used by the
-/// grouped --stats-json output.
+/// The members of the grouped --stats-json object after "query":
+/// `"groups":[{"group":...,"answer":{...}}...]`. By-table groups share the
+/// whole query's stats, which lead once as a `"stats"` member and are left
+/// out of each answer; a by-tuple group's answer keeps its own.
 std::string GroupedToJson(const std::vector<GroupedAnswer>& groups);
 
 }  // namespace aqua::cli
